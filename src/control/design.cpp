@@ -143,21 +143,6 @@ SwitchingStability check_switching_stability(const DiscreteLti& plant,
   return out;
 }
 
-void append_canonical(std::string& out, const SwitchingStability& s) {
-  out += "tt=";
-  out += s.tt_stable ? '1' : '0';
-  out += ";et=";
-  out += s.et_stable ? '1' : '0';
-  out += ";df=";
-  out += s.degradation_free ? '1' : '0';
-  out += ";je=";
-  out += std::to_string(s.settling_et);
-  out += ";jw=";
-  out += std::to_string(s.worst_settling);
-  out += ';';
-  linalg::append_canonical(out, {s.common_lyapunov, s.p});
-}
-
 std::size_t byte_cost(const SwitchingStability& s) {
   return sizeof(SwitchingStability) - sizeof(Matrix) + linalg::byte_cost(s.p);
 }

@@ -84,18 +84,16 @@ struct SwitchingStability {
     const DiscreteLti& plant, const Matrix& kt, const Matrix& ke,
     const SettlingSpec& settling = {});
 
-/// Append a canonical, byte-exact serialization of a stability verdict
-/// (flags, settling numbers, CQLF certificate bits) to `out`, and the
-/// verdict's resident byte size. check_switching_stability is a pure
-/// function of (plant, kt, ke, settling), so the canonical form of those
-/// inputs content-addresses the verdict — this pair is what lets the
-/// engine::analysis cache store and equality-check certificates.
-void append_canonical(std::string& out, const SwitchingStability& s);
+/// Resident byte size of a stability verdict, for byte-budgeted caches.
 [[nodiscard]] std::size_t byte_cost(const SwitchingStability& s);
 
-/// Round-trip binary codec for disk-cached stability verdicts (the CQLF
-/// certificate rides through the linalg::CommonLyapunov codec). decode
-/// returns false on malformed input and never throws.
+/// Round-trip binary codec for cached stability verdicts (flags,
+/// settling numbers; the CQLF certificate rides through the
+/// linalg::CommonLyapunov codec). check_switching_stability is a pure
+/// function of (plant, kt, ke, settling), so the encoded inputs
+/// content-address the verdict and its encoded bytes compare cached and
+/// fresh certificates bit for bit. decode returns false on malformed
+/// input and never throws.
 void encode(support::codec::Encoder& enc, const SwitchingStability& s);
 [[nodiscard]] bool decode(support::codec::Decoder& dec,
                           SwitchingStability& s);

@@ -36,17 +36,6 @@ Matrix DiscreteLti::unit_output_state() const {
   return ct * linalg::solve(gram, e1);
 }
 
-void append_canonical(std::string& out, const DiscreteLti& plant) {
-  out += "phi=";
-  linalg::append_canonical_bits(out, plant.phi());
-  out += "gam=";
-  linalg::append_canonical_bits(out, plant.gamma());
-  out += "c=";
-  linalg::append_canonical_bits(out, plant.c());
-  out += "h=";
-  linalg::append_canonical_bits(out, Matrix{{plant.h()}});
-}
-
 void encode(support::codec::Encoder& enc, const DiscreteLti& plant) {
   linalg::encode(enc, plant.phi());
   linalg::encode(enc, plant.gamma());

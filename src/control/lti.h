@@ -42,16 +42,13 @@ class DiscreteLti {
   double h_;
 };
 
-/// Append a canonical, byte-exact serialization of the discretized plant
-/// (phi, gamma, c and the sampling period's bit pattern) to `out` — the
-/// content-addressed identity of the dynamics, as consumed by
-/// engine::analysis::AppAnalysisKey. Pure function of the plant data.
-void append_canonical(std::string& out, const DiscreteLti& plant);
-
-/// Round-trip binary codec for disk-cached solutions. DiscreteLti has a
-/// validating constructor and no default state, so the decoder returns
-/// nullopt on malformed input (checking the constructor's preconditions
-/// up front — untrusted bytes must never reach a throwing TTDIM_EXPECTS).
+/// Round-trip binary codec: phi, gamma, c and the sampling period's bit
+/// pattern — the content-addressed identity of the dynamics in the
+/// analysis and whole-solve cache keys, and the stored form of a plant
+/// in disk-cached solutions. DiscreteLti has a validating constructor
+/// and no default state, so the decoder returns nullopt on malformed
+/// input (checking the constructor's preconditions up front — untrusted
+/// bytes must never reach a throwing TTDIM_EXPECTS).
 void encode(support::codec::Encoder& enc, const DiscreteLti& plant);
 [[nodiscard]] std::optional<DiscreteLti> decode_lti(
     support::codec::Decoder& dec);

@@ -6,12 +6,9 @@
 
 namespace ttdim::control {
 
-void append_canonical(std::string& out, const SettlingSpec& spec) {
-  out += "tol=";
-  linalg::append_canonical_bits(out, Matrix{{spec.abs_tol}});
-  out += "hor=";
-  out += std::to_string(spec.horizon);
-  out += ';';
+void encode(support::codec::Encoder& enc, const SettlingSpec& spec) {
+  enc.f64(spec.abs_tol);
+  enc.i32(spec.horizon);
 }
 
 std::optional<int> settling_samples(const Trace& trace, double abs_tol) {

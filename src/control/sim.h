@@ -27,12 +27,12 @@ struct SettlingSpec {
   int horizon = 4000;
 };
 
-/// Append a canonical, byte-exact serialization of a settling spec
-/// (tolerance bit pattern + horizon) to `out`. Every simulation entry
-/// point in this header is a pure function of its arguments, so a spec's
-/// canonical form plus the loop's canonical form fully addresses any
-/// settling result — what engine::analysis keys rely on.
-void append_canonical(std::string& out, const SettlingSpec& spec);
+/// Encode-only key part: tolerance bit pattern + horizon. Every
+/// simulation entry point in this header is a pure function of its
+/// arguments, so a spec's bytes plus the loop's bytes fully address any
+/// settling result — what the engine::analysis and whole-solve cache
+/// keys rely on. Specs are never stored, so there is no decode.
+void encode(support::codec::Encoder& enc, const SettlingSpec& spec);
 
 /// Index of the first sample from which the trace output stays within
 /// `abs_tol` to the end; nullopt when the trace never settles (including

@@ -4,8 +4,8 @@
 #include <optional>
 
 #include "core/session.h"
-#include "engine/oracle/slot_config_key.h"
 #include "support/check.h"
+#include "support/codec.h"
 
 namespace ttdim::core {
 
@@ -28,58 +28,55 @@ bool decode_assignment(support::codec::Decoder& dec,
   return true;
 }
 
+/// One AppSpec's bytes: a whole-solve key part and the spec half of a
+/// stored AppSolution. The length-prefixed name keeps {"ab", "c"} and
+/// {"a", "bc"} apart.
+void encode_spec(support::codec::Encoder& enc, const AppSpec& spec) {
+  enc.str(spec.name);
+  control::encode(enc, spec.plant);
+  linalg::encode(enc, spec.kt);
+  linalg::encode(enc, spec.ke);
+  enc.i32(spec.min_interarrival);
+  enc.i32(spec.settling_requirement);
+}
+
+std::optional<AppSpec> decode_spec(support::codec::Decoder& dec) {
+  std::string name;
+  if (!dec.str(name)) return std::nullopt;
+  std::optional<control::DiscreteLti> plant = control::decode_lti(dec);
+  if (!plant) return std::nullopt;
+  AppSpec spec{std::move(name), *std::move(plant), {}, {}, 0, 0};
+  if (!linalg::decode(dec, spec.kt) || !linalg::decode(dec, spec.ke) ||
+      !dec.i32(spec.min_interarrival) || !dec.i32(spec.settling_requirement))
+    return std::nullopt;
+  return spec;
+}
+
 }  // namespace
 
 SolveKey SolveKey::of(const std::vector<AppSpec>& specs,
                       const SolveOptions& options) {
   SolveKey key;
-  for (const AppSpec& spec : specs) {
-    // Length-prefixed name: no designer-chosen string can collide with
-    // the delimiters of the serialization around it.
-    key.canonical += "app:";
-    key.canonical += std::to_string(spec.name.size());
-    key.canonical += ':';
-    key.canonical += spec.name;
-    key.canonical += ';';
-    control::append_canonical(key.canonical, spec.plant);
-    key.canonical += "kt=";
-    linalg::append_canonical_bits(key.canonical, spec.kt);
-    key.canonical += "ke=";
-    linalg::append_canonical_bits(key.canonical, spec.ke);
-    key.canonical += "r=";
-    key.canonical += std::to_string(spec.min_interarrival);
-    key.canonical += ";j*=";
-    key.canonical += std::to_string(spec.settling_requirement);
-    key.canonical += ';';
-  }
+  support::codec::Encoder enc(key.canonical);
+  enc.u32(static_cast<std::uint32_t>(specs.size()));
+  for (const AppSpec& spec : specs) encode_spec(enc, spec);
   // Result-affecting options only. The memoize/cache/thread knobs are
   // excluded on purpose: they never change the result (pinned by the
   // fingerprint-equality tests), so warm and cold configurations share
   // entries.
-  key.canonical += "opt:";
-  control::append_canonical(key.canonical, options.settling);
-  key.canonical += "g=";
-  key.canonical += std::to_string(options.tw_granularity);
-  key.canonical += ";d=";
-  key.canonical += std::to_string(options.max_disturbances_per_app);
-  key.canonical += ";s=";
-  key.canonical += options.require_switching_stability ? '1' : '0';
-  key.canonical += ";p=";
-  key.canonical += std::to_string(static_cast<int>(options.policy));
-  key.canonical += ';';
-  key.hash = engine::oracle::fnv1a(key.canonical);
+  control::encode(enc, options.settling);
+  enc.i32(options.tw_granularity);
+  enc.i32(options.max_disturbances_per_app);
+  enc.u8(options.require_switching_stability ? 1 : 0);
+  enc.i32(static_cast<std::int32_t>(options.policy));
+  key.hash = support::codec::fnv1a(key.canonical);
   return key;
 }
 
 void encode_solution(support::codec::Encoder& enc, const Solution& solution) {
   enc.u32(static_cast<std::uint32_t>(solution.apps.size()));
   for (const AppSolution& app : solution.apps) {
-    enc.str(app.spec.name);
-    control::encode(enc, app.spec.plant);
-    linalg::encode(enc, app.spec.kt);
-    linalg::encode(enc, app.spec.ke);
-    enc.i32(app.spec.min_interarrival);
-    enc.i32(app.spec.settling_requirement);
+    encode_spec(enc, app.spec);
     switching::encode(enc, app.tables);
     verify::encode(enc, app.timing);
     control::encode(enc, app.stability);
@@ -95,15 +92,9 @@ bool decode_solution(support::codec::Decoder& dec, Solution& solution) {
   if (!dec.u32(napps) || napps > dec.remaining()) return false;
   solution.apps.reserve(napps);
   for (std::uint32_t i = 0; i < napps; ++i) {
-    std::string name;
-    if (!dec.str(name)) return false;
-    std::optional<control::DiscreteLti> plant = control::decode_lti(dec);
-    if (!plant) return false;
-    AppSpec spec{std::move(name), *std::move(plant), {}, {}, 0, 0};
-    if (!linalg::decode(dec, spec.kt) || !linalg::decode(dec, spec.ke) ||
-        !dec.i32(spec.min_interarrival) || !dec.i32(spec.settling_requirement))
-      return false;
-    AppSolution app{std::move(spec), {}, {}, {}};
+    std::optional<AppSpec> spec = decode_spec(dec);
+    if (!spec) return false;
+    AppSolution app{*std::move(spec), {}, {}, {}};
     if (!switching::decode(dec, app.tables) ||
         !verify::decode(dec, app.timing) ||
         !control::decode(dec, app.stability))

@@ -76,7 +76,7 @@ struct SolveOptions {
   /// prefix instead of re-proving it from scratch. The dimensioning
   /// result is byte-identical either way (the incremental search visits
   /// exactly the same reachable set); disabling reverts admission to the
-  /// PR-2 two-tier oracle.
+  /// two-tier exact-hit-or-fresh-proof oracle.
   bool incremental_admission = true;
   /// Snapshot cache shared across solves, like verdict_cache. nullptr +
   /// incremental_admission gives the solve a private cache.
@@ -156,15 +156,16 @@ struct Solution {
   [[nodiscard]] double saving_vs_baseline() const;
 };
 
-/// Content-addressed identity of a whole solve: the canonical
-/// serialization of every AppSpec (in input order — the pipeline is
-/// order-sensitive) plus the result-affecting SolveOptions fields
-/// (settling, granularity, disturbance bound, stability requirement,
-/// policy). Cache/thread toggles are excluded: they never change the
-/// result (pinned by the fingerprint-equality tests), so warm and cold
-/// configurations share solve-result cache entries. This is the
-/// AppAnalysisKey idiom extended to complete specs — the key of the
-/// whole-solve SolutionCache and of the disk tier's "solution" space.
+/// Content-addressed identity of a whole solve: the support::codec bytes
+/// of every AppSpec (in input order — the pipeline is order-sensitive;
+/// the same per-spec bytes encode_solution stores, name included) plus
+/// the result-affecting SolveOptions fields (settling, granularity,
+/// disturbance bound, stability requirement, policy). Cache/thread
+/// toggles are excluded: they never change the result (pinned by the
+/// fingerprint-equality tests), so warm and cold configurations share
+/// solve-result cache entries. This is the AppAnalysisKey idiom extended
+/// to complete specs — the key of the whole-solve SolutionCache and of
+/// the disk tier's "solution" space. Equality compares all the bytes.
 struct SolveKey {
   std::string canonical;
   std::uint64_t hash = 0;
@@ -196,8 +197,10 @@ void encode_solution(support::codec::Encoder& enc, const Solution& solution);
 [[nodiscard]] bool decode_solution(support::codec::Decoder& dec,
                                    Solution& solution);
 
-/// Run the full pipeline. Throws std::invalid_argument when a requirement
-/// is unmeetable or (if required) a gain pair lacks switching stability.
+/// Run the full pipeline. Throws std::invalid_argument, naming the app,
+/// when a spec is malformed (duplicate name, non-finite gains or gains
+/// not shaped for the plant), a requirement is unmeetable or (if
+/// required) a gain pair lacks switching stability.
 /// One pass of a throwaway DimensioningSession (core/session.h) under
 /// the hood — long-lived callers that re-dimension under churn hold a
 /// session instead and call its solve()/redimension().

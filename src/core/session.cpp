@@ -87,6 +87,31 @@ void remove_at(Solution& solution, int idx) {
   solution.apps.erase(solution.apps.begin() + idx);
 }
 
+/// Boundary check of designer input, before any key is built or any
+/// analysis runs: gains must fit the single-input plant (kt 1 x n, ke
+/// 1 x (n+1)) and be finite, and names must be unique within `specs` —
+/// the baseline stage looks members up by name. Without it these inputs
+/// surface deep inside the analysis as errors that name no application,
+/// or, for a duplicate name, silently distort the baseline slot counts.
+void validate_specs(const std::vector<AppSpec>& specs, const char* where) {
+  std::unordered_set<std::string> names;
+  for (const AppSpec& spec : specs) {
+    const linalg::Index n = spec.plant.n_states();
+    if (spec.plant.n_inputs() != 1 || spec.kt.rows() != 1 ||
+        spec.kt.cols() != n || spec.ke.rows() != 1 || spec.ke.cols() != n + 1)
+      throw std::invalid_argument(
+          std::string(where) + ": gains of " + spec.name +
+          " do not fit its plant (need a single-input plant, kt 1 x n and "
+          "ke 1 x (n+1))");
+    if (!spec.kt.all_finite() || !spec.ke.all_finite())
+      throw std::invalid_argument(std::string(where) + ": gains of " +
+                                  spec.name + " are not finite");
+    if (!names.insert(spec.name).second)
+      throw std::invalid_argument(std::string(where) +
+                                  ": duplicate app name " + spec.name);
+  }
+}
+
 std::vector<verify::AppTiming> timings_of(const Solution& solution) {
   std::vector<verify::AppTiming> timings;
   timings.reserve(solution.apps.size());
@@ -277,6 +302,7 @@ void DimensioningSession::stage_baselines(
 
 Solution DimensioningSession::solve(const std::vector<AppSpec>& specs) {
   TTDIM_EXPECTS(!specs.empty());
+  validate_specs(specs, "solve");
   support::MutexLock lock(mutex_);
   const auto t_solve = Clock::now();
   engine::cache::DiskCache* const disk = options_.disk_cache.get();
@@ -441,6 +467,7 @@ Solution DimensioningSession::redimension(const Delta& delta) {
   fresh_specs.reserve(delta.rerate.size() + delta.add.size());
   for (const AppSpec& spec : delta.rerate) fresh_specs.push_back(spec);
   for (const AppSpec& spec : delta.add) fresh_specs.push_back(spec);
+  validate_specs(fresh_specs, "redimension");
   std::vector<AppSolution> fresh;
   if (!fresh_specs.empty()) fresh = stage_analysis(fresh_specs, stats);
 

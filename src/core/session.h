@@ -90,8 +90,8 @@ class DimensioningSession {
   /// assembly); the result becomes the standing solution. Byte-identical
   /// to the pre-session core::solve for the same options (which is now
   /// exactly one pass of a throwaway session). Throws
-  /// std::invalid_argument like solve() on unmeetable requirements; the
-  /// standing solution is untouched on throw.
+  /// std::invalid_argument like solve() on malformed specs and unmeetable
+  /// requirements; the standing solution is untouched on throw.
   [[nodiscard]] Solution solve(const std::vector<AppSpec>& specs);
 
   /// Apply `delta` to the standing solution (solve() must have
@@ -100,12 +100,12 @@ class DimensioningSession {
   /// The updated solution becomes the standing solution and is returned.
   /// An empty delta is the identity (byte-identical standing solution,
   /// fresh stats). Throws std::invalid_argument on unknown/duplicate
-  /// names, on a delta that empties the population, or on an unmeetable
-  /// re-rate/addition requirement — the standing solution is untouched
-  /// on throw. The result is deliberately NOT published to the
-  /// whole-solve SolutionCache: a re-dimensioned assignment is
-  /// history-dependent, generally not what a fresh solve of the same
-  /// population would produce.
+  /// names, on a delta that empties the population, or on a malformed
+  /// spec or unmeetable requirement of a re-rate/addition — the standing
+  /// solution is untouched on throw. The result is deliberately NOT
+  /// published to the whole-solve SolutionCache: a re-dimensioned
+  /// assignment is history-dependent, generally not what a fresh solve
+  /// of the same population would produce.
   [[nodiscard]] Solution redimension(const Delta& delta);
 
   [[nodiscard]] bool has_solution() const;

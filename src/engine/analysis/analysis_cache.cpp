@@ -7,16 +7,6 @@ std::size_t AppAnalysisResult::byte_cost() const {
          sizeof(bool);
 }
 
-void AppAnalysisResult::append_canonical(std::string& out) const {
-  control::append_canonical(out, stability);
-  if (tables_computed) {
-    out += "tables:";
-    switching::append_canonical(out, tables);
-  } else {
-    out += "tables:none;";
-  }
-}
-
 void encode(support::codec::Encoder& enc, const AppAnalysisResult& result) {
   control::encode(enc, result.stability);
   enc.u8(result.tables_computed ? 1 : 0);

@@ -36,13 +36,12 @@ struct AppAnalysisResult {
 
   /// Resident size in bytes, for the cache's byte budget.
   [[nodiscard]] std::size_t byte_cost() const;
-  /// Canonical byte-exact serialization — lets tests pin cached results
-  /// bit-identical to freshly computed ones.
-  void append_canonical(std::string& out) const;
 };
 
 /// Round-trip binary codec for the disk tier (engine/cache/disk_cache.h).
-/// decode returns false on malformed input and never throws.
+/// Byte-exact, so equal bytes also pin cached results bit-identical to
+/// freshly computed ones. decode returns false on malformed input and
+/// never throws.
 void encode(support::codec::Encoder& enc, const AppAnalysisResult& result);
 [[nodiscard]] bool decode(support::codec::Decoder& dec,
                           AppAnalysisResult& result);

@@ -1,5 +1,7 @@
 #include "engine/analysis/analysis_key.h"
 
+#include "support/codec.h"
+
 namespace ttdim::engine::analysis {
 
 AppAnalysisKey AppAnalysisKey::of(const control::DiscreteLti& plant,
@@ -7,25 +9,15 @@ AppAnalysisKey AppAnalysisKey::of(const control::DiscreteLti& plant,
                                   const linalg::Matrix& ke,
                                   const AppAnalysisSpec& spec) {
   AppAnalysisKey key;
-  key.canonical.reserve(512);
-  control::append_canonical(key.canonical, plant);
-  key.canonical += "kt=";
-  linalg::append_canonical_bits(key.canonical, kt);
-  key.canonical += "ke=";
-  linalg::append_canonical_bits(key.canonical, ke);
-  switching::append_canonical(key.canonical, spec.dwell);
-  key.canonical += "stab:";
-  control::append_canonical(key.canonical, spec.stability_settling);
-  key.canonical += spec.stop_on_unstable ? "stop=1" : "stop=0";
-
-  // FNV-1a, as in SlotConfigKey: equality re-checks the canonical string,
-  // so the hash only has to spread buckets.
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : key.canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  key.hash = h;
+  key.canonical.reserve(320);
+  support::codec::Encoder enc(key.canonical);
+  control::encode(enc, plant);
+  linalg::encode(enc, kt);
+  linalg::encode(enc, ke);
+  switching::encode(enc, spec.dwell);
+  control::encode(enc, spec.stability_settling);
+  enc.u8(spec.stop_on_unstable ? 1 : 0);
+  key.hash = support::codec::fnv1a(key.canonical);
   return key;
 }
 

@@ -1,8 +1,8 @@
 // Content-addressed identity of one application's analysis phase: the
-// canonical, byte-exact serialization of everything the stability check
-// and the dwell-table search read — discretized plant matrices, the
-// fast/slow gain pair, the sampling period, and the settling / dwell
-// parameters. Both computations are pure functions of these inputs
+// support::codec bytes of everything the stability check and the
+// dwell-table search read — discretized plant matrices, the fast/slow
+// gain pair, the sampling period, and the settling / dwell parameters.
+// Both computations are pure functions of these inputs
 // (control/design.h, switching/dwell.h), so the key fully addresses an
 // AppAnalysisResult: equal keys imply bit-identical results, and a 1-ulp
 // plant perturbation yields a different key. App names and disturbance
@@ -37,10 +37,14 @@ struct AppAnalysisSpec {
   bool stop_on_unstable = true;
 };
 
-/// Value key for the analysis cache. As with SlotConfigKey, `canonical`
-/// is the full serialization and equality never trusts the hash alone:
-/// an analysis cache must not hand a colliding entry's certificate to a
-/// different plant.
+/// Value key for the analysis cache. `canonical` holds the codec bytes
+/// of plant, gains and spec — the same encoding the disk tier stores
+/// values in (control::encode, linalg::encode, switching::encode) — and
+/// doubles as the disk "analysis" key. Every field is fixed-width or
+/// length-prefixed, so distinct inputs never share bytes. As with
+/// SlotConfigKey, equality compares all the bytes and never trusts the
+/// FNV-1a hash alone: an analysis cache must not hand a colliding
+/// entry's certificate to a different plant.
 struct AppAnalysisKey {
   std::string canonical;
   std::uint64_t hash = 0;

@@ -11,9 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "support/codec.h"
+
 namespace ttdim::engine::cache {
 
 namespace fs = std::filesystem;
+using support::codec::fnv1a;
 
 namespace {
 
@@ -25,40 +28,6 @@ constexpr std::size_t kChecksumBytes = 8;
 // writer and swept during trim. Live writers publish within
 // milliseconds, so ten minutes is conservative even under CI load.
 constexpr auto kStaleTmpAge = std::chrono::minutes(10);
-
-std::uint64_t fnv1a(std::string_view s, std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
 
 bool is_entry_file(const fs::path& p) { return p.extension() == ".entry"; }
 
@@ -134,17 +103,25 @@ std::optional<std::string> DiskCache::get(std::string_view space,
   if (blob.size() < kHeaderBytes + kChecksumBytes) return reject(true);
   if (std::string_view(blob.data(), 4) != std::string_view(kMagic, 4))
     return reject(true);
-  if (get_u32(blob.data() + 4) != kFormatVersion) return reject(false);
-  const std::uint64_t key_len = get_u64(blob.data() + 8);
-  const std::uint64_t value_len = get_u64(blob.data() + 16);
+  support::codec::Decoder header(
+      std::string_view(blob).substr(4, kHeaderBytes - 4));
+  std::uint32_t version = 0;
+  std::uint64_t key_len = 0;
+  std::uint64_t value_len = 0;
+  header.u32(version);
+  if (version != kFormatVersion) return reject(false);
+  header.u64(key_len);
+  header.u64(value_len);
   const std::uint64_t payload = key_len + value_len;
-  if (payload < key_len ||  // overflow
+  if (!header.done() || payload < key_len ||  // overflow
       blob.size() != kHeaderBytes + payload + kChecksumBytes)
     return reject(true);
   const std::string_view stored(blob.data() + kHeaderBytes,
                                 static_cast<std::size_t>(payload));
-  if (get_u64(blob.data() + kHeaderBytes + payload) != fnv1a(stored))
-    return reject(true);
+  support::codec::Decoder trailer(
+      std::string_view(blob).substr(kHeaderBytes + stored.size()));
+  std::uint64_t checksum = 0;
+  if (!trailer.u64(checksum) || checksum != fnv1a(stored)) return reject(true);
   // Hash collision between distinct keys: not our entry, report a miss.
   if (stored.substr(0, static_cast<std::size_t>(key_len)) != key) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -167,14 +144,14 @@ void DiskCache::put(std::string_view space, std::string_view key,
 
   std::string blob;
   blob.reserve(kHeaderBytes + key.size() + value.size() + kChecksumBytes);
+  support::codec::Encoder enc(blob);
   blob.append(kMagic, 4);
-  put_u32(blob, kFormatVersion);
-  put_u64(blob, key.size());
-  put_u64(blob, value.size());
+  enc.u32(kFormatVersion);
+  enc.u64(key.size());
+  enc.u64(value.size());
   blob.append(key.data(), key.size());
   blob.append(value.data(), value.size());
-  put_u64(blob, fnv1a(std::string_view(blob.data() + kHeaderBytes,
-                                       key.size() + value.size())));
+  enc.u64(fnv1a(std::string_view(blob).substr(kHeaderBytes)));
   if (blob.size() > byte_budget_) return;  // can never fit
 
   fs::create_directories(fs::path(path).parent_path(), ec);

@@ -4,13 +4,16 @@
 // dist-clang file_cache idiom: hash-named entry files, write-to-temp +
 // atomic rename-into-place, LRU trimming by mtime.
 //
-// Keys and values are opaque byte strings: the key is the same canonical
-// serialization the memory tiers already use (AppAnalysisKey::canonical,
-// SlotConfigKey::canonical, SolveKey::canonical) and the value is a
-// support::codec round-trip encoding of the cached result. One entry is
-// one file named `<space>/<fnv1a(key) as 16 hex>.entry`, where `space`
-// is a short namespace string ("analysis", "verdict", "solution") that
-// keeps differently-typed payloads from colliding. The full key is
+// Keys and values are opaque byte strings: the key is the same key bytes
+// the memory tiers already use (AppAnalysisKey::canonical and
+// SolveKey::canonical — the support::codec encoding of their inputs —
+// and SlotConfigKey::canonical's timing tokens) and the value is the
+// support::codec encoding of the cached result. The entry header is
+// written and parsed with the same codec, and named and checksummed
+// with its support::codec::fnv1a. One entry is one file named
+// `<space>/<fnv1a(key) as 16 hex>.entry`, where `space` is a short
+// namespace string ("analysis", "verdict", "solution") that keeps
+// differently-typed payloads from colliding. The full key is
 // stored inside the entry and compared on read, so a hash collision
 // degrades to a miss, never to a wrong value.
 //
@@ -66,11 +69,12 @@ struct DiskCacheStats {
 
 class DiskCache {
  public:
-  /// Bump when the entry layout or any cached value's codec changes;
+  /// Bump when the entry layout, any cached value's codec or any key's
+  /// bytes change;
   /// CI's actions/cache key embeds this so incompatible caches are never
   /// restored (.github/workflows/ci.yml keeps "v<kFormatVersion>" in its
   /// key — update both together).
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
   /// Entries are kilobytes; 256 MiB holds far more history than any CI
   /// run or daemon accumulates between trims.
   static constexpr std::size_t kDefaultByteBudget = 256u << 20;

@@ -7,8 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/oracle/slot_config_key.h"
 #include "support/check.h"
+#include "support/codec.h"
 
 namespace ttdim::engine::fuzz {
 
@@ -183,7 +183,7 @@ std::string save_artifact(const Artifact& artifact, const std::string& dir) {
   std::filesystem::create_directories(dir);
   std::ostringstream name;
   name << "cex_" << std::hex << std::setw(16) << std::setfill('0')
-       << oracle::fnv1a(bytes) << ".ttfz";
+       << support::codec::fnv1a(bytes) << ".ttfz";
   const std::filesystem::path path = std::filesystem::path(dir) / name.str();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out || !(out << bytes) || !out.flush())

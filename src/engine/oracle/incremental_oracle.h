@@ -3,7 +3,7 @@
 // verify::DiscreteVerifier.
 //
 //   tier 1  exact hit      — the canonical SlotConfigKey is already in the
-//                            VerdictCache (the PR-2 memoized layer);
+//                            VerdictCache;
 //   tier 2  subsumption    — a never-seen probe is answered by multiset
 //                            inclusion against the populations the verdict
 //                            store has proved: admission is antitone, so a
@@ -30,12 +30,12 @@
 // cached and never re-noted; every population the index holds was proved
 // by a real verifier run.
 //
-// Thread-safe like the memoized layer: concurrent queries contend only on
-// the cache mutexes and the atomic counters. Those mutexes are the
-// annotated support::Mutex (support/thread_annotations.h) throughout the
-// cache layer, so the locking discipline this oracle leans on — including
-// the note-then-insert protocol's eviction-hook obligations — is proven
-// by the clang -Wthread-safety lane, not just exercised by TSan.
+// Thread-safe: concurrent queries contend only on the cache mutexes and
+// the atomic counters. Those mutexes are the annotated support::Mutex
+// (support/thread_annotations.h) throughout the cache layer, so the
+// locking discipline this oracle leans on — including the
+// note-then-insert protocol's eviction-hook obligations — is proven by
+// the clang -Wthread-safety lane, not just exercised by TSan.
 #pragma once
 
 #include <atomic>
@@ -58,7 +58,8 @@ class IncrementalAdmissionOracle {
  public:
   /// Either cache may be nullptr to disable its tier: (nullptr, nullptr)
   /// verifies every query fresh (the reference behaviour), (cache,
-  /// nullptr) reproduces the PR-2 memoized oracle exactly, and a shared
+  /// nullptr, false) is the two-tier exact-hit-or-fresh-proof oracle
+  /// (safe verdicts cached, unsafe ones re-proved), and a shared
   /// SnapshotCache extends prefix reuse across solves (batch jobs, a
   /// serve process). `subsumption` gates tier 2 — it lives in the
   /// verdict store's SubsumptionIndex, so it needs `verdicts` non-null
@@ -93,7 +94,7 @@ class IncrementalAdmissionOracle {
 
   /// Full verdict for one slot population. Witness queries
   /// (options.want_witness) and depth-first traversals bypass both caches
-  /// and verify fresh, exactly like the memoized layer.
+  /// and verify fresh.
   [[nodiscard]] verify::SlotVerdict verify(
       const std::vector<verify::AppTiming>& slot_apps) const;
 

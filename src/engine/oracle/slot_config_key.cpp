@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/check.h"
+#include "support/codec.h"
 
 namespace ttdim::engine::oracle {
 
@@ -51,7 +52,7 @@ SlotConfigKey assemble(const std::vector<std::string>& parts, const char* tag,
     key.canonical += ';';
   }
   key.canonical += options_suffix;
-  key.hash = fnv1a(key.canonical);
+  key.hash = support::codec::fnv1a(key.canonical);
   return key;
 }
 

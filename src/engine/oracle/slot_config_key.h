@@ -16,19 +16,6 @@
 
 namespace ttdim::engine::oracle {
 
-/// FNV-1a over a byte string — the one hash primitive of the oracle
-/// layer: SlotConfigKey spreads buckets with it (equality re-checks the
-/// canonical bytes) and the SubsumptionIndex derives its per-member
-/// signature bits from it. Shared so the constants can never diverge.
-[[nodiscard]] inline std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Canonical decomposition of a (set) key: the sorted per-app timing
 /// tokens and the verdict-affecting options suffix, i.e. exactly the two
 /// halves the canonical serialization concatenates. This is the domain
@@ -60,7 +47,7 @@ struct SlotConfigKey {
   /// state budget (a smaller budget can turn a completed proof into a
   /// budget-exhausted throw, so sharing verdicts across budgets would
   /// make memoization observable). Witness/traversal options are
-  /// excluded — the memoized oracle caches only exhaustive safe verdicts
+  /// excluded — the admission oracle caches only exhaustive safe verdicts
   /// and bypasses the cache for witness queries. proof_threads is
   /// likewise excluded: serial and parallel proofs are contractually
   /// interchangeable (identical verdicts, identical safe state counts —

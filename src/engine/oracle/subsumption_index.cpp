@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/check.h"
+#include "support/codec.h"
 
 namespace ttdim::engine::oracle {
 
@@ -11,7 +12,7 @@ namespace {
 std::uint64_t signature_of(const std::vector<std::string>& tokens) {
   std::uint64_t sig = 0;
   for (const std::string& token : tokens)
-    sig |= std::uint64_t{1} << (fnv1a(token) & 63u);
+    sig |= std::uint64_t{1} << (support::codec::fnv1a(token) & 63u);
   return sig;
 }
 

@@ -341,11 +341,6 @@ CommonLyapunov find_common_lyapunov(const Matrix& a1, const Matrix& a2) {
   return {};
 }
 
-void append_canonical(std::string& out, const CommonLyapunov& c) {
-  out += c.found ? "cqlf=1:" : "cqlf=0:";
-  append_canonical_bits(out, c.p);
-}
-
 std::size_t byte_cost(const CommonLyapunov& c) {
   return sizeof(CommonLyapunov) - sizeof(Matrix) + byte_cost(c.p);
 }

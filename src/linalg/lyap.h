@@ -37,12 +37,6 @@ struct CommonLyapunov {
 [[nodiscard]] bool certifies_decrease(const Matrix& a, const Matrix& p,
                                       double tol = 1e-9);
 
-/// Append a canonical, byte-exact serialization of a CQLF search result
-/// (found flag + the certificate's IEEE-754 bit patterns) to `out`.
-/// Lets a cached stability certificate be content-addressed and compared
-/// bit-for-bit without lossy floating-point formatting.
-void append_canonical(std::string& out, const CommonLyapunov& c);
-
 /// Resident size of the search result in bytes — byte-budget accounting
 /// for caches holding certificates.
 [[nodiscard]] std::size_t byte_cost(const CommonLyapunov& c);

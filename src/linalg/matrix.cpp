@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <ostream>
 
 #include "support/check.h"
@@ -258,25 +256,6 @@ Matrix unvec(const Matrix& v, Index rows, Index cols) {
   for (Index c = 0; c < cols; ++c)
     for (Index r = 0; r < rows; ++r) a(r, c) = v[i++];
   return a;
-}
-
-void append_canonical_bits(std::string& out, const Matrix& m) {
-  out += std::to_string(m.rows());
-  out += 'x';
-  out += std::to_string(m.cols());
-  out += ':';
-  char hex[17];
-  for (double entry : m.data()) {
-    // The bit pattern, not the value: -0.0 vs 0.0 and every NaN payload
-    // stay distinguishable, and no decimal round-trip can merge keys.
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(entry), "IEEE-754 double expected");
-    std::memcpy(&bits, &entry, sizeof(bits));
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    out += hex;
-  }
-  out += ';';
 }
 
 std::size_t byte_cost(const Matrix& m) {

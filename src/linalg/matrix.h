@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "support/codec.h"
@@ -135,23 +134,17 @@ class Matrix {
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
-/// Append a canonical, byte-exact serialization of `m` to `out`:
-/// dimensions plus the IEEE-754 bit pattern of every entry in row-major
-/// order, as fixed-width hex. Two matrices serialize identically exactly
-/// when they are bit-identical — the property content-addressed cache
-/// keys need (decimal formatting would collapse distinct doubles, and
-/// "close enough" matrices must not share an analysis result).
-void append_canonical_bits(std::string& out, const Matrix& m);
-
 /// Resident size in bytes (object header + heap payload) — byte-budget
 /// accounting for caches holding matrices.
 [[nodiscard]] std::size_t byte_cost(const Matrix& m);
 
-/// Round-trip binary codec for the disk cache tier: dimensions plus the
-/// IEEE-754 bit pattern of every entry (same identity as
-/// append_canonical_bits, but decodable). decode returns false — leaving
-/// `m` empty — on truncated input or implausible dimensions; it never
-/// throws, because disk entries are untrusted.
+/// Round-trip binary codec: dimensions plus the IEEE-754 bit pattern of
+/// every entry in row-major order. Two matrices encode identically
+/// exactly when they are bit-identical — the property content-addressed
+/// cache keys need ("close enough" matrices must not share an analysis
+/// result). decode returns false — leaving `m` empty — on truncated
+/// input or implausible dimensions; it never throws, because disk
+/// entries are untrusted.
 void encode(support::codec::Encoder& enc, const Matrix& m);
 [[nodiscard]] bool decode(support::codec::Decoder& dec, Matrix& m);
 

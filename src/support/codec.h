@@ -1,14 +1,14 @@
-// Binary round-trip codec primitives for the persistent cache tier
-// (engine/cache/disk_cache.h). The existing one-way append_canonical
-// serializations are *keys* — identity strings that never need parsing.
-// Disk-cached *values* must come back, so every cached value type grows
-// an encode/decode pair built on these two helpers.
-//
-// Format: fixed-width little-endian integers, IEEE-754 bit-pattern
-// doubles, u32-length-prefixed strings and vectors. Platform-stable for
-// the same reason append_canonical_bits is (bit patterns, no locale, no
-// text formatting), and byte-deterministic: equal values encode to equal
-// bytes.
+// The one byte form of every value in the repository: fixed-width
+// little-endian integers, IEEE-754 bit-pattern doubles, u32-length-
+// prefixed strings and vectors. Cached values round-trip through
+// encode/decode pairs built on these two helpers (engine/cache/
+// disk_cache.h), and the content-addressed cache keys (AppAnalysisKey,
+// SolveKey) are the encode bytes of their inputs — one serialization
+// serves both, so a key and a stored value can never disagree about
+// what identifies a plant or a gain. Bit patterns keep -0.0 and 0.0 (and
+// every NaN payload) apart and involve no locale or text formatting, so
+// the bytes are platform-stable and deterministic: equal values encode
+// to equal bytes.
 //
 // The Decoder is built for hostile input — a truncated, corrupted or
 // wrong-version cache entry must decode to "miss", never to a crash or a
@@ -26,6 +26,20 @@
 #include <vector>
 
 namespace ttdim::support::codec {
+
+/// FNV-1a over a byte string — the one byte-string hash of the library:
+/// cache keys spread buckets with it (equality re-checks the full key
+/// bytes), the disk cache names and checksums entries with it, the
+/// subsumption index derives signature bits from it and fuzz artifacts
+/// are named by it. Stored file names depend on the constants.
+[[nodiscard]] inline std::uint64_t fnv1a(std::string_view bytes) noexcept {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 class Encoder {
  public:

@@ -47,49 +47,12 @@ int DwellTables::max_t_minus() const {
   return m;
 }
 
-namespace {
-
-void append_table(std::string& out, const std::vector<int>& values) {
-  for (int v : values) {
-    out += std::to_string(v);
-    out += ',';
-  }
-  out += ';';
-}
-
-}  // namespace
-
-void append_canonical(std::string& out, const DwellAnalysisSpec& spec) {
-  out += "j*=";
-  out += std::to_string(spec.settling_requirement);
-  out += ';';
-  control::append_canonical(out, spec.settling);
-  out += "g=";
-  out += std::to_string(spec.tw_granularity);
-  out += ";w<=";
-  out += std::to_string(spec.max_wait);
-  out += ";d<=";
-  out += std::to_string(spec.max_dwell);
-  out += ';';
-}
-
-void append_canonical(std::string& out, const DwellTables& tables) {
-  out += "t*w=";
-  out += std::to_string(tables.t_star_w);
-  out += ";jt=";
-  out += std::to_string(tables.settling_tt);
-  out += ";je=";
-  out += std::to_string(tables.settling_et);
-  out += ";g=";
-  out += std::to_string(tables.tw_granularity);
-  out += ";-";
-  append_table(out, tables.t_minus);
-  out += '+';
-  append_table(out, tables.t_plus);
-  out += "j-";
-  append_table(out, tables.settling_at_minus);
-  out += "j+";
-  append_table(out, tables.settling_at_plus);
+void encode(support::codec::Encoder& enc, const DwellAnalysisSpec& spec) {
+  enc.i32(spec.settling_requirement);
+  control::encode(enc, spec.settling);
+  enc.i32(spec.tw_granularity);
+  enc.i32(spec.max_wait);
+  enc.i32(spec.max_dwell);
 }
 
 std::size_t byte_cost(const DwellTables& tables) {

@@ -57,18 +57,18 @@ struct DwellTables {
   [[nodiscard]] int max_t_minus() const;
 };
 
-/// Append canonical serializations to `out`: the analysis parameters
-/// (requirement, settling spec, granularity, caps — the dwell half of an
-/// engine::analysis::AppAnalysisKey; compute_dwell_tables is a pure
-/// function of the loop and this spec) and assembled tables (for
-/// bit-exact cached-vs-fresh comparisons), plus the tables' resident byte
-/// size for byte-budgeted caches.
-void append_canonical(std::string& out, const DwellAnalysisSpec& spec);
-void append_canonical(std::string& out, const DwellTables& tables);
+/// Encode-only key part: requirement, settling spec, granularity and
+/// caps — the dwell half of an engine::analysis::AppAnalysisKey
+/// (compute_dwell_tables is a pure function of the loop and this spec).
+/// Specs are never stored, so there is no decode.
+void encode(support::codec::Encoder& enc, const DwellAnalysisSpec& spec);
+
+/// Resident byte size of the tables, for byte-budgeted caches.
 [[nodiscard]] std::size_t byte_cost(const DwellTables& tables);
 
-/// Round-trip binary codec for disk-cached dwell tables. decode returns
-/// false on malformed input and never throws.
+/// Round-trip binary codec for cached dwell tables; equal bytes mean
+/// bit-exact tables (cached-vs-fresh comparisons). decode returns false
+/// on malformed input and never throws.
 void encode(support::codec::Encoder& enc, const DwellTables& tables);
 [[nodiscard]] bool decode(support::codec::Decoder& dec, DwellTables& tables);
 

@@ -56,7 +56,7 @@ struct SlotVerdict {
   int violator = -1;
 };
 
-/// Full structural equality — used by the memoized oracle layer's tests to
+/// Full structural equality — used by the admission oracle layer's tests to
 /// assert that a cached verdict is indistinguishable from a fresh one.
 [[nodiscard]] inline bool operator==(const SlotVerdict& a,
                                      const SlotVerdict& b) {

@@ -17,6 +17,7 @@
 #include "engine/batch_runner.h"
 #include "engine/fingerprint.h"
 #include "gtest/gtest.h"
+#include "support/codec.h"
 
 namespace ttdim::engine::analysis {
 namespace {
@@ -72,6 +73,18 @@ TEST(AppAnalysisKey, PerturbedInputsNeverCollide) {
     EXPECT_NE(original,
               AppAnalysisKey::of(perturbed, app.kt, app.ke, spec_for(app)));
   }
+  {  // signed zero: equal as doubles, distinct bit patterns (C6 has a
+     // scalar output map, so flip an entry of the 3-state C1's c)
+    const casestudy::App c1 = casestudy::c1();
+    control::Matrix c = c1.plant.c();
+    ASSERT_EQ(c(0, 1), 0.0);
+    ASSERT_FALSE(std::signbit(c(0, 1)));
+    c(0, 1) = -0.0;
+    const control::DiscreteLti flipped(c1.plant.phi(), c1.plant.gamma(), c,
+                                       c1.plant.h());
+    EXPECT_NE(key_for(c1),
+              AppAnalysisKey::of(flipped, c1.kt, c1.ke, spec_for(c1)));
+  }
   {  // gain perturbation
     control::Matrix kt = app.kt;
     kt(0, 0) = std::nextafter(kt(0, 0), 1e9);
@@ -91,6 +104,19 @@ TEST(AppAnalysisKey, PerturbedInputsNeverCollide) {
     spec = spec_for(app);
     spec.dwell.settling.abs_tol =
         std::nextafter(spec.dwell.settling.abs_tol, 1.0);
+    EXPECT_NE(original, AppAnalysisKey::of(app.plant, app.kt, app.ke, spec));
+    spec = spec_for(app);
+    spec.dwell.max_wait += 1;
+    EXPECT_NE(original, AppAnalysisKey::of(app.plant, app.kt, app.ke, spec));
+    spec = spec_for(app);
+    spec.dwell.max_dwell += 1;
+    EXPECT_NE(original, AppAnalysisKey::of(app.plant, app.kt, app.ke, spec));
+    spec = spec_for(app);
+    spec.stability_settling.abs_tol =
+        std::nextafter(spec.stability_settling.abs_tol, 1.0);
+    EXPECT_NE(original, AppAnalysisKey::of(app.plant, app.kt, app.ke, spec));
+    spec = spec_for(app);
+    spec.stability_settling.horizon += 1;
     EXPECT_NE(original, AppAnalysisKey::of(app.plant, app.kt, app.ke, spec));
     spec = spec_for(app);
     spec.stop_on_unstable = false;
@@ -210,11 +236,16 @@ TEST(AppAnalysis, CachedResultBitIdenticalToFresh) {
   EXPECT_EQ(cache.stats().misses, 1);
 
   // The layer's soundness: fresh, miss-computed and cache-served results
-  // serialize to the same bytes — certificates included.
-  std::string a, b, c;
-  fresh.result->append_canonical(a);
-  miss.result->append_canonical(b);
-  hit.result->append_canonical(c);
+  // encode to the same bytes — certificates included.
+  const auto bytes_of = [](const AppAnalysisResult& result) {
+    std::string out;
+    support::codec::Encoder enc(out);
+    encode(enc, result);
+    return out;
+  };
+  const std::string a = bytes_of(*fresh.result);
+  const std::string b = bytes_of(*miss.result);
+  const std::string c = bytes_of(*hit.result);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
   EXPECT_FALSE(a.empty());

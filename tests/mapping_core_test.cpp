@@ -2,9 +2,11 @@
 // including the paper's headline result: the proposed strategy packs the
 // six-application case study into 2 TT slots while the baseline [9]
 // analyses need 4 (a 50 % saving).
+#include <limits>
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "casestudy/apps.h"
 #include "core/dimensioning.h"
@@ -150,6 +152,50 @@ TEST(Solve, RejectsUnmeetableRequirement) {
   std::vector<AppSpec> specs{to_spec(casestudy::c1())};
   specs[0].settling_requirement = 3;  // below JT = 9
   EXPECT_THROW(static_cast<void>(core::solve(specs)), std::invalid_argument);
+}
+
+/// Runs solve() expecting std::invalid_argument; returns its message so
+/// callers can check it names the offending application.
+std::string rejection_of(const std::vector<AppSpec>& specs) {
+  try {
+    static_cast<void>(core::solve(specs));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "solve accepted malformed specs";
+  return {};
+}
+
+TEST(Solve, RejectsMalformedSpecsNamingTheApp) {
+  const std::vector<AppSpec> valid{to_spec(casestudy::c1()),
+                                   to_spec(casestudy::c2())};
+  {  // the baseline stage looks members up by name: a second "C1" would
+     // silently take the first one's baseline parameters
+    std::vector<AppSpec> specs = valid;
+    specs[1].name = "C1";
+    EXPECT_NE(rejection_of(specs).find("duplicate app name C1"),
+              std::string::npos);
+  }
+  {
+    std::vector<AppSpec> specs = valid;
+    specs[1].kt(0, 1) = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(rejection_of(specs).find("C2"), std::string::npos);
+  }
+  {
+    std::vector<AppSpec> specs = valid;
+    specs[1].ke(0, 3) = std::numeric_limits<double>::infinity();
+    EXPECT_NE(rejection_of(specs).find("C2"), std::string::npos);
+  }
+  {
+    std::vector<AppSpec> specs = valid;
+    specs[0].ke = casestudy::c6().ke;  // 1 x 2 against a 3-state plant
+    EXPECT_NE(rejection_of(specs).find("C1"), std::string::npos);
+  }
+  {
+    std::vector<AppSpec> specs = valid;
+    specs[0].kt = specs[0].ke;  // 1 x (n+1) where 1 x n is required
+    EXPECT_NE(rejection_of(specs).find("C1"), std::string::npos);
+  }
 }
 
 TEST(Solve, SlackAwarePolicyYieldsSamePartitionOnCaseStudy) {

@@ -1,5 +1,5 @@
-// The memoized admission-oracle layer: canonical keys (permutation- and
-// name-independent), VerdictCache accounting and eviction, and — the
+// The admission oracle's exact-hit tier: canonical keys (permutation-
+// and name-independent), VerdictCache accounting and eviction, and — the
 // soundness property everything rests on — cached verdicts being
 // indistinguishable from fresh DiscreteVerifier runs across generated
 // slot configurations.
@@ -7,10 +7,11 @@
 #include <memory>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "engine/oracle/admission_oracle.h"
 #include "engine/oracle/dwell_search.h"
+#include "engine/oracle/incremental_oracle.h"
 #include "engine/oracle/slot_config_key.h"
 #include "engine/oracle/verdict_cache.h"
 #include "gtest/gtest.h"
@@ -202,13 +203,22 @@ TEST(VerdictCache, ConcurrentLookupsInsertsAndStatsAreCoherent) {
   EXPECT_EQ(stats.size, 32u);
 }
 
-// ------------------------------------------------- MemoizedAdmissionOracle --
+// ------------------------------------------------------ exact-hit tier --
+// The oracle with only its exact-hit tier on — verdict cache, no
+// snapshot cache, no subsumption — is the two-tier exact-hit-or-fresh-
+// proof layer every richer configuration builds on.
 
-TEST(MemoizedAdmissionOracle, CachedVerdictEqualsFreshOnGeneratedConfigs) {
+IncrementalAdmissionOracle exact_tier_oracle(
+    std::shared_ptr<VerdictCache> cache) {
+  return IncrementalAdmissionOracle({}, std::move(cache), nullptr,
+                                    /*subsumption=*/false);
+}
+
+TEST(ExactTierOracle, CachedVerdictEqualsFreshOnGeneratedConfigs) {
   std::mt19937_64 rng(20260726);
   const auto cache = std::make_shared<VerdictCache>();
-  const MemoizedAdmissionOracle memoized({}, cache);
-  const MemoizedAdmissionOracle fresh({}, nullptr);
+  const IncrementalAdmissionOracle memoized = exact_tier_oracle(cache);
+  const IncrementalAdmissionOracle fresh = exact_tier_oracle(nullptr);
   std::vector<SlotConfigKey> seen;
   int safe_seen = 0;
   int unsafe_seen = 0;
@@ -233,27 +243,29 @@ TEST(MemoizedAdmissionOracle, CachedVerdictEqualsFreshOnGeneratedConfigs) {
   EXPECT_GT(unsafe_seen, 0);
   // Safe configs hit on the repeat; unsafe configs miss both times (only
   // exhaustive safe proofs are cached — their fields are order-invariant).
-  EXPECT_EQ(memoized.hits(), safe_seen);
+  EXPECT_EQ(memoized.exact_hits(), safe_seen);
   EXPECT_EQ(memoized.misses(), safe_seen + 2 * unsafe_seen);
 }
 
-TEST(MemoizedAdmissionOracle, PermutedQueryHitsTheCache) {
-  const auto cache = std::make_shared<VerdictCache>();
-  const MemoizedAdmissionOracle oracle({}, cache);
+TEST(ExactTierOracle, PermutedQueryHitsTheCache) {
+  const IncrementalAdmissionOracle oracle =
+      exact_tier_oracle(std::make_shared<VerdictCache>());
   std::vector<AppTiming> config{uniform_app("A", 3, 2, 4, 10),
                                 uniform_app("B", 5, 1, 2, 9)};
   const SlotVerdict first = oracle.verify(config);
   ASSERT_TRUE(first.safe);  // only safe verdicts are cached
   std::swap(config[0], config[1]);
   EXPECT_EQ(oracle.verify(config), first);
-  EXPECT_EQ(oracle.hits(), 1);
+  EXPECT_EQ(oracle.exact_hits(), 1);
   EXPECT_EQ(oracle.misses(), 1);
 }
 
-TEST(MemoizedAdmissionOracle, UnsafeVerdictsAreNotCached) {
+TEST(ExactTierOracle, UnsafeVerdictsAreNotCached) {
   const auto cache = std::make_shared<VerdictCache>();
-  const MemoizedAdmissionOracle oracle({}, cache);
-  // Same unsafe triple as the witness test below.
+  const IncrementalAdmissionOracle oracle = exact_tier_oracle(cache);
+  // Unsafe triple: all three disturbed together, the slot serves two
+  // back-to-back TT episodes (2 samples each) before the third app's
+  // clock passes T*w = 2.
   const std::vector<AppTiming> config{uniform_app("A", 2, 2, 2, 7),
                                       uniform_app("B", 2, 2, 2, 7),
                                       uniform_app("C", 2, 2, 2, 7)};
@@ -262,53 +274,22 @@ TEST(MemoizedAdmissionOracle, UnsafeVerdictsAreNotCached) {
   // An unsafe violator indexes the query order, which the canonical key
   // erases — so the verdict must be re-proved, not served from the cache.
   EXPECT_EQ(oracle.verify(config), v1);
-  EXPECT_EQ(oracle.hits(), 0);
+  EXPECT_EQ(oracle.exact_hits(), 0);
   EXPECT_EQ(oracle.misses(), 2);
   EXPECT_EQ(cache->stats().insertions, 0);
 }
 
-TEST(MemoizedAdmissionOracle, CountsCallsAndStates) {
-  const MemoizedAdmissionOracle oracle({}, std::make_shared<VerdictCache>());
+TEST(ExactTierOracle, CountsCallsAndStates) {
+  const IncrementalAdmissionOracle oracle =
+      exact_tier_oracle(std::make_shared<VerdictCache>());
   const std::vector<AppTiming> config{uniform_app("A", 3, 2, 4, 10)};
   const SlotVerdict verdict = oracle.verify(config);
   EXPECT_TRUE(oracle.admit(config));
   EXPECT_TRUE(oracle.slot_oracle()(config));
   EXPECT_EQ(oracle.calls(), 3);
-  EXPECT_EQ(oracle.hits(), 2);
+  EXPECT_EQ(oracle.exact_hits(), 2);
   EXPECT_EQ(oracle.misses(), 1);
   EXPECT_EQ(oracle.states_explored(), verdict.states_explored);
-}
-
-TEST(MemoizedAdmissionOracle, WitnessQueriesBypassTheCache) {
-  DiscreteVerifier::Options want;
-  want.want_witness = true;
-  const auto cache = std::make_shared<VerdictCache>();
-  const MemoizedAdmissionOracle oracle(want, cache);
-  // Unsafe triple: all three disturbed together, the slot serves two
-  // back-to-back TT episodes (2 samples each) before the third app's
-  // clock passes T*w = 2.
-  const std::vector<AppTiming> config{uniform_app("A", 2, 2, 2, 7),
-                                      uniform_app("B", 2, 2, 2, 7),
-                                      uniform_app("C", 2, 2, 2, 7)};
-  const SlotVerdict v1 = oracle.verify(config);
-  EXPECT_FALSE(v1.safe);
-  EXPECT_FALSE(v1.witness.empty());
-  EXPECT_EQ(oracle.verify(config), v1);  // deterministic fresh re-proof
-  EXPECT_EQ(oracle.hits(), 0);
-  EXPECT_EQ(cache->stats().insertions, 0);
-}
-
-// ------------------------------------------------------------ NoCacheMode --
-
-TEST(MemoizedAdmissionOracle, NullCacheVerifiesFreshEveryTime) {
-  const MemoizedAdmissionOracle oracle({}, nullptr);
-  const std::vector<AppTiming> config{uniform_app("A", 3, 2, 4, 10)};
-  const SlotVerdict v1 = oracle.verify(config);
-  const SlotVerdict v2 = oracle.verify(config);
-  EXPECT_EQ(v1, v2);
-  EXPECT_EQ(oracle.hits(), 0);
-  EXPECT_EQ(oracle.misses(), 2);
-  EXPECT_EQ(oracle.states_explored(), 2 * v1.states_explored);
 }
 
 }  // namespace

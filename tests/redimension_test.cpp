@@ -17,6 +17,7 @@
 // chosen because they are conflicts *under that bound* (the 4-app case
 // study first-fit already splits C3 into its own slot).
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -360,6 +361,19 @@ TEST(RedimensionTest, DeltaValidationRejectsMalformedDeltas) {
   core::Delta emptying;
   emptying.remove = {"C1", "C2", "C3"};
   expect_rejected(emptying);
+
+  // Re-rated and added specs pass the same boundary check as solve():
+  // finite gains shaped for their plant.
+  core::Delta non_finite_rerate;
+  non_finite_rerate.rerate.push_back(specs[1]);
+  non_finite_rerate.rerate.back().kt(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(non_finite_rerate);
+
+  core::Delta misshapen_addition;
+  misshapen_addition.add.push_back(spec_of(casestudy::c4()));
+  misshapen_addition.add.back().ke = casestudy::c6().ke;  // 1 x 2, needs 1 x 3
+  expect_rejected(misshapen_addition);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 // The in-process fresh-handle construction is exactly what a process
 // restart or a CI actions/cache restore produces; examples/warm_start.cpp
 // runs the same checks across real processes.
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "casestudy/apps.h"
@@ -161,10 +163,65 @@ TEST_F(WarmStartTest, SolveKeyCoversResultAffectingInputsOnly) {
   const core::SolveKey reference = core::SolveKey::of(specs_, base);
 
   // Result-affecting changes move the key...
+  const auto moves_key = [&](const std::vector<core::AppSpec>& specs) {
+    return core::SolveKey::of(specs, base) != reference;
+  };
   {
     std::vector<core::AppSpec> looser = specs_;
     looser[0].settling_requirement += 1;
-    EXPECT_NE(core::SolveKey::of(looser, base), reference);
+    EXPECT_TRUE(moves_key(looser));
+  }
+  {
+    std::vector<core::AppSpec> s = specs_;
+    s[0].min_interarrival += 1;
+    EXPECT_TRUE(moves_key(s));
+  }
+  {  // names are part of the result (timings and slots carry them)
+    std::vector<core::AppSpec> s = specs_;
+    s[1].name = "C9";
+    EXPECT_TRUE(moves_key(s));
+  }
+  {  // the pipeline is order-sensitive
+    std::vector<core::AppSpec> s = specs_;
+    std::swap(s[0], s[1]);
+    EXPECT_TRUE(moves_key(s));
+  }
+  {  // one-ulp plant perturbation
+    std::vector<core::AppSpec> s = specs_;
+    control::Matrix phi = s[0].plant.phi();
+    phi(0, 1) = std::nextafter(phi(0, 1), 1.0);
+    s[0].plant = control::DiscreteLti(phi, s[0].plant.gamma(),
+                                      s[0].plant.c(), s[0].plant.h());
+    EXPECT_TRUE(moves_key(s));
+  }
+  {  // one-ulp gain perturbation
+    std::vector<core::AppSpec> s = specs_;
+    s[2].ke(0, 0) = std::nextafter(s[2].ke(0, 0), 1e9);
+    EXPECT_TRUE(moves_key(s));
+  }
+  {  // length-prefixed names: the boundary between two names is keyed
+    std::vector<core::AppSpec> ab_c = {specs_[0], specs_[1]};
+    std::vector<core::AppSpec> a_bc = ab_c;
+    ab_c[0].name = "ab";
+    ab_c[1].name = "c";
+    a_bc[0].name = "a";
+    a_bc[1].name = "bc";
+    EXPECT_NE(core::SolveKey::of(ab_c, base), core::SolveKey::of(a_bc, base));
+  }
+  {
+    core::SolveOptions o = base;
+    o.tw_granularity = 2;
+    EXPECT_NE(core::SolveKey::of(specs_, o), reference);
+  }
+  {
+    core::SolveOptions o = base;
+    o.settling.abs_tol = std::nextafter(o.settling.abs_tol, 1.0);
+    EXPECT_NE(core::SolveKey::of(specs_, o), reference);
+  }
+  {
+    core::SolveOptions o = base;
+    o.settling.horizon += 1;
+    EXPECT_NE(core::SolveKey::of(specs_, o), reference);
   }
   {
     core::SolveOptions o = base;
