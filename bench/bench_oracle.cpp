@@ -3,18 +3,20 @@
 // reference, cold four-tier solve, warm shared verdict cache (exact
 // hits), warm shared snapshot cache (prefix hits; the cross-config
 // subsumption regime is bench_batch's BM_CaseStudySolveSubsumptionWarm)
-// — plus a CPU
-// calibration loop that lets scripts/check_bench_regression.py normalize
-// solve times across machines of different speed.
+// — the CQLF decision per case-study app, plus a CPU calibration loop
+// that lets scripts/check_bench_regression.py normalize solve times
+// across machines of different speed.
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "bench_common.h"
+#include "control/lti.h"
 #include "core/dimensioning.h"
 #include "engine/analysis/analysis_cache.h"
 #include "engine/oracle/snapshot_cache.h"
 #include "engine/oracle/verdict_cache.h"
+#include "linalg/lyap.h"
 
 namespace {
 
@@ -129,6 +131,26 @@ void BM_CaseStudySolvePrefixWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CaseStudySolvePrefixWarm)->Unit(benchmark::kMillisecond);
+
+void BM_FindCommonLyapunov(benchmark::State& state) {
+  // The CQLF layer on its own: one case-study app's closed-loop pair per
+  // argument (0..5 = C1..C6), `found` its verdict.
+  const casestudy::App app =
+      casestudy::all_apps().at(static_cast<std::size_t>(state.range(0)));
+  const control::SwitchedModes modes =
+      control::switched_modes(app.plant, app.kt, app.ke);
+  bool found = false;
+  for (auto _ : state) {
+    const linalg::CommonLyapunov cqlf =
+        linalg::find_common_lyapunov(modes.a_tt, modes.a_et);
+    found = cqlf.found;
+    benchmark::DoNotOptimize(cqlf);
+  }
+  state.counters["found"] = found ? 1.0 : 0.0;
+}
+BENCHMARK(BM_FindCommonLyapunov)
+    ->DenseRange(0, 5)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

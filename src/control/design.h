@@ -60,9 +60,10 @@ struct LqrWeights {
 /// Two pieces of evidence are gathered:
 ///  - a common quadratic Lyapunov function of the two closed loops in the
 ///    augmented space (sufficient certificate; the paper's recommended
-///    design condition). The case-study pairs sit close to the boundary of
-///    the CQLF cone, so the search may fail to certify a pair that is
-///    nevertheless benign — which is why we also run
+///    design condition), decided by linalg::find_common_lyapunov's LMI
+///    solve. The case-study pairs sit close to the boundary of the CQLF
+///    cone (margins 1e-3 down to 1e-9), and a CQLF is only sufficient,
+///    so a benign pair can still go uncertified — which is why we also run
 ///  - the operative test behind the paper's Fig. 3: exhaustive simulation
 ///    of all switching patterns; the pair is degradation-free when no
 ///    (wait, dwell) pattern settles later than staying in ME outright

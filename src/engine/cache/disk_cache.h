@@ -69,12 +69,12 @@ struct DiskCacheStats {
 
 class DiskCache {
  public:
-  /// Bump when the entry layout, any cached value's codec or any key's
-  /// bytes change;
+  /// Bump when the entry layout, any cached value's codec, any key's
+  /// bytes, or the value a key maps to (e.g. a CQLF verdict) change;
   /// CI's actions/cache key embeds this so incompatible caches are never
   /// restored (.github/workflows/ci.yml keeps "v<kFormatVersion>" in its
   /// key — update both together).
-  static constexpr std::uint32_t kFormatVersion = 2;
+  static constexpr std::uint32_t kFormatVersion = 3;
   /// Entries are kilobytes; 256 MiB holds far more history than any CI
   /// run or daemon accumulates between trims.
   static constexpr std::size_t kDefaultByteBudget = 256u << 20;

@@ -174,61 +174,6 @@ bool is_schur_stable(const Matrix& a, double margin) {
   return spectral_radius(a) < 1.0 - margin;
 }
 
-SymEig sym_eig(const Matrix& a) {
-  TTDIM_EXPECTS(a.is_square());
-  TTDIM_EXPECTS(a.is_symmetric(1e-8 * std::max(1.0, a.max_abs())));
-  const Index n = a.rows();
-  Matrix m = a;
-  m.symmetrize();
-  Matrix v = Matrix::identity(n);
-  for (int sweep = 0; sweep < 128; ++sweep) {
-    double off = 0.0;
-    for (Index i = 0; i < n; ++i)
-      for (Index j = i + 1; j < n; ++j) off += m(i, j) * m(i, j);
-    if (off < 1e-24 * std::max(1.0, m.max_abs() * m.max_abs())) break;
-    for (Index p = 0; p < n; ++p) {
-      for (Index q = p + 1; q < n; ++q) {
-        if (std::abs(m(p, q)) < 1e-18) continue;
-        const double theta = (m(q, q) - m(p, p)) / (2.0 * m(p, q));
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (Index k = 0; k < n; ++k) {
-          const double mkp = m(k, p);
-          const double mkq = m(k, q);
-          m(k, p) = c * mkp - s * mkq;
-          m(k, q) = s * mkp + c * mkq;
-        }
-        for (Index k = 0; k < n; ++k) {
-          const double mpk = m(p, k);
-          const double mqk = m(q, k);
-          m(p, k) = c * mpk - s * mqk;
-          m(q, k) = s * mpk + c * mqk;
-        }
-        for (Index k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-  SymEig out;
-  out.values.resize(static_cast<size_t>(n));
-  for (Index i = 0; i < n; ++i) out.values[static_cast<size_t>(i)] = m(i, i);
-  out.vectors = std::move(v);
-  return out;
-}
-
-double min_sym_eigenvalue(const Matrix& a) {
-  const SymEig e = sym_eig(a);
-  double m = e.values.front();
-  for (double v : e.values) m = std::min(m, v);
-  return m;
-}
-
 std::vector<double> poly_from_roots(const std::vector<Cplx>& roots) {
   std::vector<Cplx> c{Cplx{1.0, 0.0}};
   for (const Cplx& r : roots) {

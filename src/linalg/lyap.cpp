@@ -1,13 +1,167 @@
 #include "linalg/lyap.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <complex>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/eig.h"
 #include "linalg/solve.h"
 #include "support/check.h"
 
 namespace ttdim::linalg {
+
+namespace {
+
+/// Lower Cholesky factor `l` of the symmetric matrix `a`; false as soon as
+/// a pivot is not above `floor`.
+bool cholesky(const Matrix& a, double floor, Matrix& l) {
+  const Index n = a.rows();
+  l = Matrix(n, n);
+  for (Index k = 0; k < n; ++k) {
+    double d = a(k, k);
+    for (Index j = 0; j < k; ++j) d -= l(k, j) * l(k, j);
+    if (!(d > floor)) return false;
+    const double s = std::sqrt(d);
+    l(k, k) = s;
+    for (Index i = k + 1; i < n; ++i) {
+      double v = a(i, k);
+      for (Index j = 0; j < k; ++j) v -= l(i, j) * l(k, j);
+      l(i, k) = v / s;
+    }
+  }
+  return true;
+}
+
+/// Solves l y = b by forward substitution (l lower triangular).
+Matrix lower_solve(const Matrix& l, Matrix b) {
+  for (Index c = 0; c < b.cols(); ++c)
+    for (Index i = 0; i < l.rows(); ++i) {
+      double v = b(i, c);
+      for (Index j = 0; j < i; ++j) v -= l(i, j) * b(j, c);
+      b(i, c) = v / l(i, i);
+    }
+  return b;
+}
+
+/// Solves (l l') x = b for a column b, given the Cholesky factor l.
+Matrix cholesky_solve(const Matrix& l, const Matrix& b) {
+  Matrix x = lower_solve(l, b);
+  for (Index i = l.rows() - 1; i >= 0; --i) {
+    double v = x[i];
+    for (Index j = i + 1; j < l.rows(); ++j) v -= l(j, i) * x[j];
+    x[i] = v / l(i, i);
+  }
+  return x;
+}
+
+/// The CQLF decision as a small semidefinite program over
+/// x = (the upper triangle of a symmetric P, row by row; t):
+///   maximise t  subject to  F_k(x) >= 0  for
+///   F_0 = P - tI,  F_1 = P - a1' P a1 - tI,  F_2 = P - a2' P a2 - tI,
+///   F_3 = I - P.
+/// F_3 normalises the homogeneous cone, so a strict CQLF exists iff the
+/// optimum t* is positive (Boyd, El Ghaoui, Feron & Balakrishnan, "LMIs
+/// in System and Control Theory", SIAM 1994, ch. 5).
+class CqlfLmi {
+ public:
+  static constexpr int kBlocks = 4;
+
+  CqlfLmi(const Matrix& a1, const Matrix& a2)
+      : a1_(a1), a2_(a2), n_(a1.rows()), vars_(n_ * (n_ + 1) / 2 + 1) {
+    // Every F_k is affine in x, so its derivative along x_v is exactly
+    // F_k(e_v) - F_k(0).
+    const Matrix origin(vars_, 1);
+    for (int k = 0; k < kBlocks; ++k) {
+      const Matrix f0 = block(k, origin);
+      for (Index v = 0; v < vars_; ++v) {
+        Matrix e(vars_, 1);
+        e[v] = 1.0;
+        slopes_[k].push_back(block(k, e) - f0);
+      }
+    }
+  }
+
+  [[nodiscard]] Index vars() const { return vars_; }
+
+  [[nodiscard]] Matrix p_of(const Matrix& x) const {
+    Matrix p(n_, n_);
+    Index v = 0;
+    for (Index i = 0; i < n_; ++i)
+      for (Index j = i; j < n_; ++j) p(i, j) = p(j, i) = x[v++];
+    return p;
+  }
+
+  [[nodiscard]] static double t_of(const Matrix& x) {
+    return x[x.rows() - 1];
+  }
+
+  [[nodiscard]] Matrix block(int k, const Matrix& x) const {
+    const Matrix p = p_of(x);
+    const Matrix t_id = Matrix::identity(n_) * t_of(x);
+    switch (k) {
+      case 0: return p - t_id;
+      case 1: return p - a1_.transpose() * p * a1_ - t_id;
+      case 2: return p - a2_.transpose() * p * a2_ - t_id;
+      default: return Matrix::identity(n_) - p;
+    }
+  }
+
+  /// True when every block is Cholesky-positive at x.
+  [[nodiscard]] bool interior(const Matrix& x) const {
+    Matrix l;
+    for (int k = 0; k < kBlocks; ++k)
+      if (!cholesky(block(k, x), 0.0, l)) return false;
+    return true;
+  }
+
+  /// Newton direction `dx` of  -mu t - sum_k log det F_k(x)  at an interior
+  /// x, and its squared Newton decrement. False when the Hessian is not
+  /// numerically positive definite.
+  bool newton(const Matrix& x, double mu, Matrix& dx,
+              double& decrement2) const {
+    Matrix grad(vars_, 1);
+    grad[vars_ - 1] = -mu;
+    Matrix hess(vars_, vars_);
+    std::vector<Matrix> s(static_cast<std::size_t>(vars_));
+    for (int k = 0; k < kBlocks; ++k) {
+      Matrix l;
+      if (!cholesky(block(k, x), 0.0, l)) return false;
+      // With F_k = L L' and S_v = L^-1 (dF_k/dx_v) L^-T, the barrier term
+      // contributes -tr S_v to the gradient and <S_v, S_w> to the Hessian.
+      for (Index v = 0; v < vars_; ++v) {
+        Matrix& sv = s[static_cast<std::size_t>(v)];
+        const Matrix& slope = slopes_[k][static_cast<std::size_t>(v)];
+        sv = lower_solve(l, lower_solve(l, slope).transpose());
+        grad[v] -= sv.trace();
+        for (Index w = 0; w <= v; ++w) {
+          const Matrix& sw = s[static_cast<std::size_t>(w)];
+          hess(v, w) += std::inner_product(sv.data().begin(), sv.data().end(),
+                                           sw.data().begin(), 0.0);
+        }
+      }
+    }
+    for (Index v = 0; v < vars_; ++v)
+      for (Index w = v + 1; w < vars_; ++w) hess(v, w) = hess(w, v);
+    Matrix lh;
+    if (!cholesky(hess, 0.0, lh)) return false;
+    dx = -cholesky_solve(lh, grad);
+    decrement2 = -grad.dot(dx);
+    return std::isfinite(decrement2);
+  }
+
+ private:
+  const Matrix& a1_;
+  const Matrix& a2_;
+  Index n_;
+  Index vars_;
+  std::array<std::vector<Matrix>, kBlocks> slopes_;
+};
+
+}  // namespace
 
 Matrix dlyap(const Matrix& a, const Matrix& q) {
   TTDIM_EXPECTS(a.is_square() && q.is_square() && a.rows() == q.rows());
@@ -29,22 +183,8 @@ Matrix dlyap(const Matrix& a, const Matrix& q) {
 bool is_positive_definite(const Matrix& p, double tol) {
   TTDIM_EXPECTS(p.is_square());
   if (!p.is_symmetric(1e-8 * std::max(1.0, p.max_abs()))) return false;
-  // In-place Cholesky; failure of any pivot means not PD.
-  const Index n = p.rows();
-  Matrix l = p;
-  for (Index k = 0; k < n; ++k) {
-    double d = l(k, k);
-    for (Index j = 0; j < k; ++j) d -= l(k, j) * l(k, j);
-    if (d <= tol * std::max(1.0, p.max_abs())) return false;
-    const double s = std::sqrt(d);
-    l(k, k) = s;
-    for (Index i = k + 1; i < n; ++i) {
-      double v = l(i, k);
-      for (Index j = 0; j < k; ++j) v -= l(i, j) * l(k, j);
-      l(i, k) = v / s;
-    }
-  }
-  return true;
+  Matrix l;
+  return cholesky(p, tol * std::max(1.0, p.max_abs()), l);
 }
 
 bool certifies_decrease(const Matrix& a, const Matrix& p, double tol) {
@@ -53,291 +193,53 @@ bool certifies_decrease(const Matrix& a, const Matrix& p, double tol) {
   return is_positive_definite(dec, tol);
 }
 
-namespace {
-
-/// Dimension cap of the allocation-free subgradient phase below; larger
-/// problems use the Matrix-based loop. The paper's augmented closed loops
-/// are at most 4x4.
-constexpr Index kFlatN = 6;
-
-/// Jacobi eigensolver on flat storage, arithmetically identical to
-/// sym_eig() (same sweep limit, thresholds, rotation order and term
-/// order) so the subgradient iterates below match the Matrix path bit
-/// for bit.
-void flat_sym_eig(const double (&f)[kFlatN][kFlatN], Index n,
-                  double (&values)[kFlatN], double (&vectors)[kFlatN][kFlatN]) {
-  double m[kFlatN][kFlatN];
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) m[r][c] = f[r][c];
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) vectors[r][c] = (r == c) ? 1.0 : 0.0;
-  for (int sweep = 0; sweep < 128; ++sweep) {
-    double off = 0.0;
-    for (Index i = 0; i < n; ++i)
-      for (Index j = i + 1; j < n; ++j) off += m[i][j] * m[i][j];
-    double ma = 0.0;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) ma = std::max(ma, std::abs(m[r][c]));
-    if (off < 1e-24 * std::max(1.0, ma * ma)) break;
-    for (Index p = 0; p < n; ++p) {
-      for (Index q = p + 1; q < n; ++q) {
-        if (std::abs(m[p][q]) < 1e-18) continue;
-        const double theta = (m[q][q] - m[p][p]) / (2.0 * m[p][q]);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (Index k = 0; k < n; ++k) {
-          const double mkp = m[k][p];
-          const double mkq = m[k][q];
-          m[k][p] = c * mkp - s * mkq;
-          m[k][q] = s * mkp + c * mkq;
-        }
-        for (Index k = 0; k < n; ++k) {
-          const double mpk = m[p][k];
-          const double mqk = m[q][k];
-          m[p][k] = c * mpk - s * mqk;
-          m[q][k] = s * mpk + c * mqk;
-        }
-        for (Index k = 0; k < n; ++k) {
-          const double vkp = vectors[k][p];
-          const double vkq = vectors[k][q];
-          vectors[k][p] = c * vkp - s * vkq;
-          vectors[k][q] = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-  for (Index i = 0; i < n; ++i) values[i] = m[i][i];
-}
-
-/// The subgradient feasibility phase of find_common_lyapunov on flat
-/// storage: every arithmetic step mirrors the Matrix operator chain of the
-/// reference loop (documented there), so `best` is the exact same iterate
-/// — only the per-iteration heap traffic is gone. Returns the best iterate
-/// found within the budget.
-Matrix flat_subgradient_phase(const Matrix& a1m, const Matrix& a2m,
-                              const Matrix& p0, double eps) {
-  const Index n = a1m.rows();
-  TTDIM_EXPECTS(n <= kFlatN);
-  double a1[kFlatN][kFlatN], a2[kFlatN][kFlatN];
-  double p[kFlatN][kFlatN], best[kFlatN][kFlatN];
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) {
-      a1[r][c] = a1m(r, c);
-      a2[r][c] = a2m(r, c);
-      p[r][c] = p0(r, c);
-      best[r][c] = p0(r, c);
-    }
-  double best_violation = 1e18;
-  double grad[kFlatN][kFlatN] = {};
-  for (int it = 0; it < 40000; ++it) {
-    double worst = -1e18;
-    for (int m = 0; m < 3; ++m) {
-      // f = p (m == 0) or p - a' p a, symmetrized. The products replicate
-      // Matrix operator*'s left association and exact-zero-entry skip.
-      double f[kFlatN][kFlatN];
-      if (m == 0) {
-        for (Index r = 0; r < n; ++r)
-          for (Index c = 0; c < n; ++c) f[r][c] = p[r][c];
-      } else {
-        const auto& a = (m == 1) ? a1 : a2;
-        double t1[kFlatN][kFlatN];  // a' * p
-        for (Index r = 0; r < n; ++r) {
-          for (Index c = 0; c < n; ++c) t1[r][c] = 0.0;
-          for (Index k = 0; k < n; ++k) {
-            const double x = a[k][r];  // at(r, k)
-            if (x == 0.0) continue;
-            for (Index c = 0; c < n; ++c) t1[r][c] += x * p[k][c];
-          }
-        }
-        for (Index r = 0; r < n; ++r) {
-          for (Index c = 0; c < n; ++c) f[r][c] = 0.0;
-          for (Index k = 0; k < n; ++k) {
-            const double x = t1[r][k];
-            if (x == 0.0) continue;
-            for (Index c = 0; c < n; ++c) f[r][c] += x * a[k][c];
-          }
-          for (Index c = 0; c < n; ++c) f[r][c] = p[r][c] - f[r][c];
-        }
-      }
-      for (Index r = 0; r < n; ++r)
-        for (Index c = r + 1; c < n; ++c) {
-          const double avg = 0.5 * (f[r][c] + f[c][r]);
-          f[r][c] = avg;
-          f[c][r] = avg;
-        }
-      double values[kFlatN] = {};
-      double vectors[kFlatN][kFlatN] = {};
-      flat_sym_eig(f, n, values, vectors);
-      Index mi = 0;
-      for (Index i = 1; i < n; ++i)
-        if (values[i] < values[mi]) mi = i;
-      const double violation = eps - values[mi];
-      if (violation > worst) {
-        worst = violation;
-        double v[kFlatN];
-        for (Index k = 0; k < n; ++k) v[k] = vectors[k][mi];
-        // grad = v v'  (rows with v(r) == 0 stay zero, as in operator*).
-        for (Index r = 0; r < n; ++r)
-          for (Index c = 0; c < n; ++c)
-            grad[r][c] = (v[r] == 0.0) ? 0.0 : 0.0 + v[r] * v[c];
-        if (m > 0) {
-          const auto& a = (m == 1) ? a1 : a2;
-          double av[kFlatN];
-          for (Index r = 0; r < n; ++r) {
-            av[r] = 0.0;
-            for (Index k = 0; k < n; ++k) {
-              const double x = a[r][k];
-              if (x == 0.0) continue;
-              av[r] += x * v[k];
-            }
-          }
-          for (Index r = 0; r < n; ++r)
-            for (Index c = 0; c < n; ++c)
-              grad[r][c] -= (av[r] == 0.0) ? 0.0 : 0.0 + av[r] * av[c];
-        }
-      }
-    }
-    if (worst < best_violation) {
-      best_violation = worst;
-      for (Index r = 0; r < n; ++r)
-        for (Index c = 0; c < n; ++c) best[r][c] = p[r][c];
-    }
-    if (worst <= 0.0) break;
-    double sq = 0.0;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) sq += grad[r][c] * grad[r][c];
-    const double nrm = std::sqrt(sq);
-    const double g2 = nrm * nrm;
-    const double step = 0.5 * worst / std::max(1.0, g2);
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) p[r][c] += grad[r][c] * step;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = r + 1; c < n; ++c) {
-        const double avg = 0.5 * (p[r][c] + p[c][r]);
-        p[r][c] = avg;
-        p[c][r] = avg;
-      }
-    double scale = 0.0;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) scale = std::max(scale, std::abs(p[r][c]));
-    if (scale > 0.0)
-      for (Index r = 0; r < n; ++r)
-        for (Index c = 0; c < n; ++c) p[r][c] /= scale;
-  }
-  Matrix out(n, n);
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) out(r, c) = best[r][c];
-  return out;
-}
-
-}  // namespace
-
 CommonLyapunov find_common_lyapunov(const Matrix& a1, const Matrix& a2) {
   TTDIM_EXPECTS(a1.is_square() && a2.is_square() && a1.rows() == a2.rows());
   const Index n = a1.rows();
   // A CQLF requires each mode to be Schur stable on its own.
   if (!is_schur_stable(a1) || !is_schur_stable(a2)) return {};
 
-  const Matrix q = Matrix::identity(n);
-  std::vector<Matrix> candidates;
-  const Matrix p1 = dlyap(a1, q);
-  const Matrix p2 = dlyap(a2, q);
-  candidates.push_back(p1);
-  candidates.push_back(p2);
-  for (double w : {0.5, 0.25, 0.75, 0.1, 0.9})
-    candidates.push_back(p1 * w + p2 * (1.0 - w));
-  // Blended-operator candidates: solve
-  //   t (a1' P a1 - P) + (1-t) (a2' P a2 - P) = -I
-  // for a grid of t. The solution moves continuously between the two
-  // single-mode Lyapunov solutions and frequently lands inside the CQLF
-  // cone when it is non-empty (sufficient search; no full LMI solver).
-  const Matrix at1 = a1.transpose();
-  const Matrix at2 = a2.transpose();
-  const Matrix op1 = kron(at1, at1) - Matrix::identity(n * n);
-  const Matrix op2 = kron(at2, at2) - Matrix::identity(n * n);
-  for (int i = 1; i < 20; ++i) {
-    const double t = i / 20.0;
-    try {
-      Matrix cand = unvec(solve(op1 * t + op2 * (1.0 - t), -vec(q)), n, n);
-      cand.symmetrize();
-      candidates.push_back(std::move(cand));
-    } catch (const std::domain_error&) {
-      // Singular blend: skip this grid point.
-    }
-  }
-  for (const Matrix& cand : candidates) {
-    if (!is_positive_definite(cand)) continue;
-    if (certifies_decrease(a1, cand) && certifies_decrease(a2, cand))
-      return {true, cand};
-  }
+  // Strictly feasible start: P = I/4, and t one below the smallest
+  // eigenvalue of the three blocks that contain it.
+  const CqlfLmi lmi(a1, a2);
+  Matrix x(lmi.vars(), 1);
+  for (Index i = 0, v = 0; i < n; v += n - i, ++i) x[v] = 0.25;  // P(i, i)
+  double lowest = 0.25;
+  for (int k = 0; k < 3; ++k)  // F_0, F_1, F_2
+    for (const std::complex<double>& e : eigenvalues(lmi.block(k, x)))
+      lowest = std::min(lowest, e.real());
+  x[lmi.vars() - 1] = lowest - 1.0;
 
-  // Subgradient feasibility phase. Minimise the worst constraint violation
-  //   f(P) = max_i  eps - lambda_min(F_i(P)),
-  //   F_0 = P,  F_1 = P - a1' P a1,  F_2 = P - a2' P a2,
-  // moving P along the eigenvector subgradient of the active constraint.
-  // This finds certificates that sit close to the boundary of the CQLF
-  // cone (the paper's KsE/KT pair is such a case). Deterministic; bails
-  // out after a fixed iteration budget.
-  const double eps = 1e-4;
-  Matrix p = dlyap(a2, q);
-  p /= p.max_abs();
-  if (n <= kFlatN) {
-    // Allocation-free replica of the loop below (flat_subgradient_phase is
-    // arithmetically identical); the reference Matrix loop remains for
-    // larger systems and as executable documentation.
-    const Matrix best_flat = flat_subgradient_phase(a1, a2, p, eps);
-    if (is_positive_definite(best_flat) && certifies_decrease(a1, best_flat) &&
-        certifies_decrease(a2, best_flat))
-      return {true, best_flat};
-    return {};
-  }
-  Matrix best = p;
-  double best_violation = 1e18;
-  for (int it = 0; it < 40000; ++it) {
-    double worst = -1e18;
-    Matrix grad(n, n);
-    for (int m = 0; m < 3; ++m) {
-      Matrix f = p;
-      if (m > 0) {
-        const Matrix& a = (m == 1) ? a1 : a2;
-        f = p - a.transpose() * p * a;
+  // Barrier method: centre -mu t - sum log det F_k by damped Newton, then
+  // raise mu tenfold. The step 1/(1 + decrement) keeps a self-concordant
+  // barrier interior in exact arithmetic; halving guards the rounding.
+  constexpr double kGapFloor = 1e-12;  // not found once 4n/mu drops below
+  constexpr double kCentred = 1e-6;    // squared decrement of a centred x
+  constexpr int kMaxCentringSteps = 100;
+  double mu = 1.0;
+  while (4.0 * static_cast<double>(n) / mu >= kGapFloor) {
+    for (int step = 0;; ++step) {
+      Matrix dx;
+      double decrement2 = 0.0;
+      if (step == kMaxCentringSteps || !lmi.newton(x, mu, dx, decrement2))
+        return {};
+      if (decrement2 <= kCentred) break;
+      double alpha = 1.0 / (1.0 + std::sqrt(decrement2));
+      Matrix next = x + dx * alpha;
+      while (!lmi.interior(next)) {
+        alpha *= 0.5;
+        if (alpha < 1e-12) return {};
+        next = x + dx * alpha;
       }
-      f.symmetrize();
-      const SymEig e = sym_eig(f);
-      Index mi = 0;
-      for (Index i = 1; i < n; ++i)
-        if (e.values[static_cast<size_t>(i)] <
-            e.values[static_cast<size_t>(mi)])
-          mi = i;
-      const double violation = eps - e.values[static_cast<size_t>(mi)];
-      if (violation > worst) {
-        worst = violation;
-        const Matrix v = e.vectors.col_at(mi);
-        if (m == 0) {
-          grad = v * v.transpose();
-        } else {
-          const Matrix& a = (m == 1) ? a1 : a2;
-          const Matrix av = a * v;
-          grad = v * v.transpose() - av * av.transpose();
-        }
-      }
+      x = std::move(next);
+      if (CqlfLmi::t_of(x) <= 0.0) continue;
+      Matrix p = lmi.p_of(x);
+      if (is_positive_definite(p) && certifies_decrease(a1, p) &&
+          certifies_decrease(a2, p))
+        return {true, std::move(p)};
     }
-    if (worst < best_violation) {
-      best_violation = worst;
-      best = p;
-    }
-    if (worst <= 0.0) break;
-    const double g2 = grad.norm() * grad.norm();
-    p += grad * (0.5 * worst / std::max(1.0, g2));
-    p.symmetrize();
-    const double scale = p.max_abs();
-    if (scale > 0.0) p /= scale;
+    mu *= 10.0;
   }
-  if (is_positive_definite(best) && certifies_decrease(a1, best) &&
-      certifies_decrease(a2, best))
-    return {true, best};
   return {};
 }
 
@@ -355,6 +257,13 @@ bool decode(support::codec::Decoder& dec, CommonLyapunov& c) {
   std::uint8_t found = 0;
   if (!dec.u8(found) || found > 1) return false;
   if (!decode(dec, c.p)) return false;
+  // "P valid iff found": a certificate is a non-empty square matrix, and
+  // a miss carries none.
+  const bool certificate = !c.p.empty() && c.p.is_square();
+  if (found != 0 ? !certificate : !c.p.empty()) {
+    c = CommonLyapunov{};
+    return false;
+  }
   c.found = found != 0;
   return true;
 }

@@ -97,8 +97,6 @@ Matrix Matrix::block(Index r0, Index c0, Index nr, Index nc) const {
 
 Matrix Matrix::row_at(Index r) const { return block(r, 0, 1, cols_); }
 
-Matrix Matrix::col_at(Index c) const { return block(0, c, rows_, 1); }
-
 void Matrix::set_block(Index r0, Index c0, const Matrix& m) {
   TTDIM_EXPECTS(r0 >= 0 && c0 >= 0);
   TTDIM_EXPECTS(r0 + m.rows() <= rows_ && c0 + m.cols() <= cols_);

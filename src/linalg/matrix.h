@@ -65,8 +65,6 @@ class Matrix {
   [[nodiscard]] Matrix block(Index r0, Index c0, Index nr, Index nc) const;
   /// Copy of row r as a 1 x cols matrix.
   [[nodiscard]] Matrix row_at(Index r) const;
-  /// Copy of column c as a rows x 1 matrix.
-  [[nodiscard]] Matrix col_at(Index c) const;
   /// Writes `m` into this matrix with top-left corner at (r0, c0).
   void set_block(Index r0, Index c0, const Matrix& m);
 

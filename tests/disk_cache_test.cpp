@@ -78,6 +78,16 @@ linalg::Matrix test_matrix() {
   return m;
 }
 
+/// A well-formed CQLF certificate: non-empty and square.
+linalg::Matrix test_certificate() {
+  linalg::Matrix m(2, 2);
+  m(0, 0) = 1.5;
+  m(0, 1) = -0.0;  // signed zero: the bit pattern must survive
+  m(1, 0) = -0.0;
+  m(1, 1) = 3.25e-7;
+  return m;
+}
+
 TEST(Codec, MatrixRoundTrip) {
   expect_round_trip(
       test_matrix(),
@@ -97,17 +107,33 @@ TEST(Codec, MatrixRejectsAbsurdDimensions) {
 }
 
 TEST(Codec, CommonLyapunovRoundTrip) {
-  linalg::CommonLyapunov cqlf;
-  cqlf.found = true;
-  cqlf.p = test_matrix();
-  expect_round_trip(
-      cqlf,
-      [](Encoder& e, const linalg::CommonLyapunov& v) {
-        linalg::encode(e, v);
-      },
-      [](Decoder& d, linalg::CommonLyapunov& v) {
-        return linalg::decode(d, v);
-      });
+  const auto encode_fn = [](Encoder& e, const linalg::CommonLyapunov& v) {
+    linalg::encode(e, v);
+  };
+  const auto decode_fn = [](Decoder& d, linalg::CommonLyapunov& v) {
+    return linalg::decode(d, v);
+  };
+  expect_round_trip(linalg::CommonLyapunov{true, test_certificate()},
+                    encode_fn, decode_fn);
+  expect_round_trip(linalg::CommonLyapunov{}, encode_fn, decode_fn);
+
+  // "P valid iff found": a found flag without a non-empty square P, or a
+  // P without the flag, is malformed and must not decode.
+  for (const linalg::CommonLyapunov& bad :
+       {linalg::CommonLyapunov{true, linalg::Matrix{}},
+        linalg::CommonLyapunov{true, test_matrix()},
+        linalg::CommonLyapunov{false, test_certificate()}}) {
+    std::string bytes;
+    Encoder enc(bytes);
+    linalg::encode(enc, bad);
+    Decoder dec(bytes);
+    linalg::CommonLyapunov back;
+    EXPECT_FALSE(linalg::decode(dec, back))
+        << "found " << bad.found << ", P " << bad.p.rows() << "x"
+        << bad.p.cols();
+    EXPECT_FALSE(back.found);
+    EXPECT_TRUE(back.p.empty());
+  }
 }
 
 TEST(Codec, DwellTablesRoundTrip) {
@@ -138,7 +164,7 @@ TEST(Codec, SwitchingStabilityRoundTrip) {
   st.degradation_free = false;
   st.settling_et = 42;
   st.worst_settling = 57;
-  st.p = test_matrix();
+  st.p = test_certificate();
   expect_round_trip(
       st,
       [](Encoder& e, const control::SwitchingStability& v) {
@@ -184,7 +210,7 @@ TEST(Codec, AppAnalysisResultRoundTrip) {
   result.stability.common_lyapunov = true;
   result.stability.settling_et = 20;
   result.stability.worst_settling = 31;
-  result.stability.p = test_matrix();
+  result.stability.p = test_certificate();
   result.tables.t_star_w = 1;
   result.tables.t_minus = {2, 2};
   result.tables.t_plus = {3, 3};

@@ -368,6 +368,47 @@ TEST(Lyap, CommonLyapunovRejectsUnstableMember) {
   EXPECT_FALSE(find_common_lyapunov(a1, a2).found);
 }
 
+TEST(Lyap, NoCommonLyapunovWhenProductUnstable) {
+  // Both matrices are nilpotent, hence Schur stable, but a CQLF would make
+  // their product contractive too, and a1 a2 has spectral radius 4.
+  const Matrix a1{{0.0, 2.0}, {0.0, 0.0}};
+  const Matrix a2{{0.0, 0.0}, {2.0, 0.0}};
+  ASSERT_NEAR(spectral_radius(a1 * a2), 4.0, 1e-12);
+  EXPECT_FALSE(find_common_lyapunov(a1, a2).found);
+}
+
+TEST(Lyap, CommonLyapunovFoundWheneverASimpleCandidateCertifies) {
+  // The LMI decision never does worse than the first dlyap candidates:
+  // whenever dlyap(a1, I), dlyap(a2, I) or their average certifies both
+  // matrices, a certificate is found, and every returned certificate
+  // passes the same check.
+  const auto certifies = [](const Matrix& a1, const Matrix& a2,
+                            const Matrix& p) {
+    return is_positive_definite(p) && certifies_decrease(a1, p) &&
+           certifies_decrease(a2, p);
+  };
+  int simple_pairs = 0;
+  for (unsigned seed = 1; seed <= 24; ++seed) {
+    for (const Index n : {Index{3}, Index{4}}) {
+      const Matrix a1 = random_stable(n, seed, 0.7);
+      const Matrix a2 = random_stable(n, seed + 1000, 0.7);
+      const Matrix p1 = dlyap(a1, Matrix::identity(n));
+      const Matrix p2 = dlyap(a2, Matrix::identity(n));
+      const bool simple = certifies(a1, a2, p1) || certifies(a1, a2, p2) ||
+                          certifies(a1, a2, (p1 + p2) * 0.5);
+      const CommonLyapunov res = find_common_lyapunov(a1, a2);
+      if (simple) {
+        ++simple_pairs;
+        EXPECT_TRUE(res.found) << "seed " << seed << " n " << n;
+      }
+      if (res.found) {
+        EXPECT_TRUE(certifies(a1, a2, res.p)) << "seed " << seed << " n " << n;
+      }
+    }
+  }
+  EXPECT_GT(simple_pairs, 10);  // the property is not vacuous
+}
+
 class LyapProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(LyapProperty, DlyapSolutionIsPsdAndCertifies) {
