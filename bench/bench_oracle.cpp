@@ -3,11 +3,13 @@
 // reference, cold four-tier solve, warm shared verdict cache (exact
 // hits), warm shared snapshot cache (prefix hits; the cross-config
 // subsumption regime is bench_batch's BM_CaseStudySolveSubsumptionWarm)
-// — the CQLF decision per case-study app, plus a CPU calibration loop
-// that lets scripts/check_bench_regression.py normalize solve times
-// across machines of different speed.
+// — the CQLF decision, the settling grid and the dwell tables per
+// case-study app, plus a CPU calibration loop that lets
+// scripts/check_bench_regression.py normalize solve times across
+// machines of different speed.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_common.h"
@@ -151,6 +153,66 @@ void BM_FindCommonLyapunov(benchmark::State& state) {
 BENCHMARK(BM_FindCommonLyapunov)
     ->DenseRange(0, 5)
     ->Unit(benchmark::kMillisecond);
+
+void BM_SettlingGrid(benchmark::State& state) {
+  // The switching-pattern grid of check_switching_stability on its own:
+  // wait 0 .. JE + 5, dwell 0 .. 12 at the stability horizon, one app per
+  // argument (0..5 = C1..C6); `patterns` the settling simulations per run.
+  const casestudy::App app =
+      casestudy::all_apps().at(static_cast<std::size_t>(state.range(0)));
+  const control::SwitchedLoop loop(app.plant, app.kt, app.ke);
+  const control::SettlingSpec spec{};
+  const int je = loop.settling_of_pattern(0, 0, spec).value();
+  std::size_t patterns = 0;
+  for (auto _ : state) {
+    const switching::SettlingMap map =
+        switching::compute_settling_map(loop, je + 6, 13, spec);
+    patterns = map.j.size();
+    benchmark::DoNotOptimize(map);
+  }
+  state.counters["patterns"] = static_cast<double>(patterns);
+}
+BENCHMARK(BM_SettlingGrid)
+    ->DenseRange(0, 5)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Settling simulations compute_dwell_tables ran for `tables`: JT and JE,
+/// then for each wait up to one granule past T*w the dwells 0, 1, ...
+/// until the settling time plateaus inside the TT window.
+std::size_t dwell_search_patterns(const control::SwitchedLoop& loop,
+                                  const switching::DwellAnalysisSpec& spec,
+                                  const switching::DwellTables& tables) {
+  std::size_t patterns = 2;
+  for (int wait = 0; wait <= tables.t_star_w + tables.tw_granularity;
+       wait += tables.tw_granularity) {
+    for (int dwell = 0; dwell <= spec.max_dwell; ++dwell) {
+      ++patterns;
+      const std::optional<int> j =
+          loop.settling_of_pattern(wait, dwell, spec.settling);
+      if (dwell > 0 && j.has_value() && *j < wait + dwell) break;
+    }
+  }
+  return patterns;
+}
+
+void BM_DwellTables(benchmark::State& state) {
+  // The dwell-table search on its own, one app per argument (0..5 =
+  // C1..C6); `patterns` the settling simulations per run.
+  const casestudy::App app =
+      casestudy::all_apps().at(static_cast<std::size_t>(state.range(0)));
+  const control::SwitchedLoop loop(app.plant, app.kt, app.ke);
+  const switching::DwellAnalysisSpec spec = bench::dwell_spec(app);
+  switching::DwellTables tables;
+  for (auto _ : state) {
+    tables = switching::compute_dwell_tables(loop, spec);
+    benchmark::DoNotOptimize(tables);
+  }
+  state.counters["patterns"] =
+      static_cast<double>(dwell_search_patterns(loop, spec, tables));
+}
+BENCHMARK(BM_DwellTables)
+    ->DenseRange(0, 5)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

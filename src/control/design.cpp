@@ -134,9 +134,7 @@ SwitchingStability check_switching_stability(const DiscreteLti& plant,
     for (int d = 0; d <= dwell_max; ++d) {
       const std::optional<int> j = loop.settling_of_pattern(w, d, settling);
       worst = std::max(worst, j.value_or(settling.horizon));
-      if (worst > *je) break;
     }
-    if (worst > *je) break;
   }
   out.worst_settling = worst;
   out.degradation_free = worst <= *je;

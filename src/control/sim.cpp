@@ -1,6 +1,8 @@
 #include "control/sim.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/check.h"
 
@@ -40,8 +42,44 @@ Trace simulate_autonomous(const Matrix& a, const Matrix& c, const Matrix& x0,
   return trace;
 }
 
+namespace {
+
+/// SwitchedLoop::tail_gain() of the loop (plant, kt, ke).
+double tail_gain_of(const DiscreteLti& plant, const Matrix& kt,
+                    const Matrix& ke) {
+  constexpr int kMaxPower = 10000;
+  const Matrix a = switched_modes(plant, kt, ke).a_et;
+  Matrix c_row(1, a.cols());  // [c 0]: first output, no input memory
+  c_row.set_block(0, 0, plant.c().row_at(0));
+  const auto max_row_sum = [](const Matrix& m) {
+    double norm = 0.0;
+    for (Index r = 0; r < m.rows(); ++r) {
+      double sum = 0.0;
+      for (Index j = 0; j < m.cols(); ++j) sum += std::abs(m(r, j));
+      norm = std::max(norm, sum);
+    }
+    return norm;
+  };
+  Matrix row = c_row;  // [c 0] A^(j-1)
+  Matrix power = a;    // A^j
+  double gain = 0.0;   // max over r < j of |[c 0] A^r|_1
+  for (int j = 1; j <= kMaxPower; ++j) {
+    if (!row.all_finite() || !power.all_finite()) break;
+    gain = std::max(gain, max_row_sum(row));
+    if (max_row_sum(power) <= 0.5) return gain;
+    row = row * a;
+    power = power * a;
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+}  // namespace
+
 SwitchedLoop::SwitchedLoop(DiscreteLti plant, Matrix kt, Matrix ke)
-    : plant_(std::move(plant)), kt_(std::move(kt)), ke_(std::move(ke)) {
+    : plant_(std::move(plant)),
+      kt_(std::move(kt)),
+      ke_(std::move(ke)),
+      tail_gain_(tail_gain_of(plant_, kt_, ke_)) {
   TTDIM_EXPECTS(plant_.n_inputs() == 1);
   TTDIM_EXPECTS(kt_.rows() == 1 && kt_.cols() == plant_.n_states());
   TTDIM_EXPECTS(ke_.rows() == 1 && ke_.cols() == plant_.n_states() + 1);
@@ -126,8 +164,21 @@ std::optional<int> SwitchedLoop::settling_of_pattern(
   for (Index r = 0; r < n; ++r) x[r] = init.x(r, 0);
   double u_prev = init.u_prev;
 
+  // Early exit bound on every component of z = [x; u_prev]: each within
+  // z_bound means tail_gain_ * |z|_inf <= abs_tol / 2. A NaN component
+  // compares false, and an infinite gain never exits.
+  const double z_bound = std::isfinite(tail_gain_)
+                             ? 0.5 * spec.abs_tol / tail_gain_
+                             : -1.0;
+  const int me_from = wait + dwell;
   int last_violation = -1;
   for (int k = 0; k < spec.horizon; ++k) {
+    if (k >= me_from && std::abs(u_prev) <= z_bound) {
+      bool settled = true;
+      for (Index r = 0; r < n && settled; ++r)
+        settled = std::abs(x[r]) <= z_bound;
+      if (settled) break;
+    }
     double y = 0.0;
     for (Index j = 0; j < n; ++j) {
       const double a = c[j];

@@ -85,11 +85,24 @@ class SwitchedLoop {
   /// above; nullopt when the loop fails to settle within the horizon.
   ///
   /// Equals settling_samples(simulate_pattern(wait, dwell, spec), abs_tol)
-  /// bit-for-bit, but runs allocation-free on flattened dynamics instead of
-  /// materializing a Trace — the dwell-table search and the switching-
-  /// stability grid issue hundreds of thousands of these calls per solve.
+  /// exactly, but runs allocation-free on flattened dynamics instead of
+  /// materializing a Trace, and stops early once the tail is settled for
+  /// good: at the top of sample k it returns when k >= wait + dwell (only
+  /// ME remains) and tail_gain() * |z_k|_inf <= abs_tol / 2, z = [x;
+  /// u_prev]. Proof: every later output is [c 0] A^j z_k with A the ME
+  /// matrix, and |[c 0] A^j z| <= tail_gain() * |z|_inf for all j >= 0, so
+  /// no later sample can violate the band; the factor 1/2 absorbs float
+  /// rounding of the contracting recurrence.
   [[nodiscard]] std::optional<int> settling_of_pattern(
       int wait, int dwell, const SettlingSpec& spec) const;
+
+  /// G = max_{0 <= r < J} |[c 0] A^r|_1 for the ME matrix A =
+  /// switched_modes(plant, kt, ke).a_et and the smallest J >= 1 with
+  /// |A^J|_inf <= 1/2, so that |[c 0] A^j z| <= G |z|_inf for every j >= 0
+  /// (write j = qJ + r). +infinity when no such J exists within 10 000
+  /// powers (ME not Schur-stable, or contracting too slowly), which
+  /// disables the early exit.
+  [[nodiscard]] double tail_gain() const noexcept { return tail_gain_; }
 
   /// Simulate an arbitrary mode schedule: modes[k] == true means sample k
   /// runs in MT. Samples beyond the schedule run in ME.
@@ -100,6 +113,7 @@ class SwitchedLoop {
   DiscreteLti plant_;
   Matrix kt_;
   Matrix ke_;
+  double tail_gain_;
 };
 
 }  // namespace ttdim::control

@@ -105,8 +105,8 @@ struct SolveOptions {
   /// nullptr + memoize_analysis gives the solve a private cache.
   std::shared_ptr<engine::analysis::AnalysisCache> analysis_cache;
   /// Thread budget of the per-application analysis phase (stability +
-  /// dwell tables) and of the dwell-row search: 1 = serial (default),
-  /// 0 = hardware concurrency. Results are independent of this value.
+  /// dwell tables, one app per task): 1 = serial (default), 0 = hardware
+  /// concurrency. Results are independent of this value.
   int analysis_threads = 1;
   /// Thread budget of each discrete admission proof
   /// (verify::DiscreteVerifier::Options::proof_threads): 1 = serial

@@ -188,7 +188,6 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
   const int napps = static_cast<int>(specs.size());
   const int resolved = engine::resolve_threads(options_.analysis_threads);
   const int threads = std::min(resolved, napps);
-  const int row_threads = std::max(1, resolved / napps);
   std::vector<std::optional<AppSolution>> analyzed(specs.size());
   std::vector<std::exception_ptr> failures(specs.size());
   std::vector<double> stability_ms(specs.size(), 0.0);
@@ -205,7 +204,7 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
       aspec.stop_on_unstable = options_.require_switching_stability;
       const engine::analysis::AppAnalysisOutcome outcome =
           engine::analysis::analyze_app(spec.plant, spec.kt, spec.ke, aspec,
-                                        cache, row_threads, disk);
+                                        cache, disk);
       stability_ms[static_cast<size_t>(i)] = outcome.stability_ms;
       dwell_ms[static_cast<size_t>(i)] = outcome.dwell_ms;
       cache_hit[static_cast<size_t>(i)] = outcome.cache_hit ? 1 : 0;

@@ -5,7 +5,6 @@
 
 #include "control/design.h"
 #include "engine/cache/disk_cache.h"
-#include "engine/oracle/dwell_search.h"
 #include "engine/oracle/solve_stats.h"
 
 namespace ttdim::engine::analysis {
@@ -23,7 +22,7 @@ AppAnalysisOutcome analyze_app(const control::DiscreteLti& plant,
                                const linalg::Matrix& kt,
                                const linalg::Matrix& ke,
                                const AppAnalysisSpec& spec,
-                               AnalysisCache* cache, int dwell_threads,
+                               AnalysisCache* cache,
                                cache::DiskCache* disk) {
   AppAnalysisOutcome out;
   AppAnalysisKey key;
@@ -63,8 +62,7 @@ AppAnalysisOutcome analyze_app(const control::DiscreteLti& plant,
   if (result.tables_computed) {
     const control::SwitchedLoop loop(plant, kt, ke);
     const auto t_dwell = Clock::now();
-    result.tables =
-        oracle::compute_dwell_tables_parallel(loop, spec.dwell, dwell_threads);
+    result.tables = switching::compute_dwell_tables(loop, spec.dwell);
     out.dwell_ms = ms_since(t_dwell);
   }
 

@@ -29,9 +29,7 @@ struct AppAnalysisOutcome {
 };
 
 /// Analyse one application: stability verdict, then (unless the pair is
-/// unstable under spec.stop_on_unstable) the dwell tables, evaluated
-/// through engine::oracle::compute_dwell_tables_parallel with
-/// `dwell_threads` workers (results independent of the thread count).
+/// unstable under spec.stop_on_unstable) the dwell tables.
 /// `cache` may be nullptr (always computes). Exceptions thrown by the
 /// dwell search (malformed spec, requirement below JT) propagate and
 /// nothing is cached — failure paths re-prove, like the verdict cache's
@@ -49,7 +47,6 @@ struct AppAnalysisOutcome {
                                              const linalg::Matrix& ke,
                                              const AppAnalysisSpec& spec,
                                              AnalysisCache* cache,
-                                             int dwell_threads = 1,
                                              cache::DiskCache* disk = nullptr);
 
 }  // namespace ttdim::engine::analysis

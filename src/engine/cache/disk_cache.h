@@ -74,7 +74,7 @@ class DiskCache {
   /// CI's actions/cache key embeds this so incompatible caches are never
   /// restored (.github/workflows/ci.yml keeps "v<kFormatVersion>" in its
   /// key — update both together).
-  static constexpr std::uint32_t kFormatVersion = 3;
+  static constexpr std::uint32_t kFormatVersion = 4;
   /// Entries are kilobytes; 256 MiB holds far more history than any CI
   /// run or daemon accumulates between trims.
   static constexpr std::size_t kDefaultByteBudget = 256u << 20;

@@ -1,5 +1,5 @@
 // Deterministic parallel-for, shared by BatchRunner (jobs across a
-// batch) and the oracle layer's dwell search (candidate waits inside one
+// batch) and the per-application analysis stage (apps inside one
 // solve). Since the executor rewrite this is a thin façade over the
 // process-wide work-stealing Executor pool (engine/executor.h): every
 // index runs exactly once and writes only state it owns, so results are

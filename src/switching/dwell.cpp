@@ -88,29 +88,6 @@ const std::optional<int>& SettlingMap::at(int wait, int dwell) const {
   return j[static_cast<size_t>(wait * dwell_count + dwell)];
 }
 
-DwellEndpoints check_dwell_spec(const SwitchedLoop& loop,
-                                const DwellAnalysisSpec& spec) {
-  if (spec.settling_requirement <= 0)
-    throw std::invalid_argument("dwell analysis: J* must be positive");
-  if (spec.tw_granularity < 1)
-    throw std::invalid_argument("dwell analysis: granularity must be >= 1");
-  if (spec.settling.horizon <= 2 * spec.settling_requirement)
-    throw std::invalid_argument(
-        "dwell analysis: settling horizon too short for the requirement");
-
-  // JT: dedicated slot (mode MT throughout). JE: dynamic segment only.
-  const std::optional<int> jt =
-      loop.settling_of_pattern(0, spec.settling.horizon, spec.settling);
-  const std::optional<int> je = loop.settling_of_pattern(0, 0, spec.settling);
-  if (!jt.has_value())
-    throw std::invalid_argument(
-        "dwell analysis: loop does not settle even with a dedicated TT slot");
-  if (*jt > spec.settling_requirement)
-    throw std::invalid_argument(
-        "dwell analysis: requirement unmeetable, J* < JT");
-  return {*jt, je.value_or(spec.settling.horizon)};
-}
-
 std::optional<DwellRow> compute_dwell_row(const SwitchedLoop& loop, int wait,
                                           const DwellAnalysisSpec& spec) {
   const std::vector<std::optional<int>> by_dwell =
@@ -154,12 +131,29 @@ std::optional<DwellRow> compute_dwell_row(const SwitchedLoop& loop, int wait,
 
 DwellTables compute_dwell_tables(const SwitchedLoop& loop,
                                  const DwellAnalysisSpec& spec) {
-  const DwellEndpoints endpoints = check_dwell_spec(loop, spec);
+  if (spec.settling_requirement <= 0)
+    throw std::invalid_argument("dwell analysis: J* must be positive");
+  if (spec.tw_granularity < 1)
+    throw std::invalid_argument("dwell analysis: granularity must be >= 1");
+  if (spec.settling.horizon <= 2 * spec.settling_requirement)
+    throw std::invalid_argument(
+        "dwell analysis: settling horizon too short for the requirement");
+
+  // JT: dedicated slot (mode MT throughout). JE: dynamic segment only.
+  const std::optional<int> jt =
+      loop.settling_of_pattern(0, spec.settling.horizon, spec.settling);
+  const std::optional<int> je = loop.settling_of_pattern(0, 0, spec.settling);
+  if (!jt.has_value())
+    throw std::invalid_argument(
+        "dwell analysis: loop does not settle even with a dedicated TT slot");
+  if (*jt > spec.settling_requirement)
+    throw std::invalid_argument(
+        "dwell analysis: requirement unmeetable, J* < JT");
+
   DwellTables tables;
   tables.tw_granularity = spec.tw_granularity;
-  tables.settling_tt = endpoints.settling_tt;
-  tables.settling_et = endpoints.settling_et;
-
+  tables.settling_tt = *jt;
+  tables.settling_et = je.value_or(spec.settling.horizon);
   for (int wait = 0; wait <= spec.max_wait; wait += spec.tw_granularity) {
     const std::optional<DwellRow> row = compute_dwell_row(loop, wait, spec);
     if (!row.has_value()) break;  // this and larger waits are infeasible

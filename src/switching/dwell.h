@@ -84,9 +84,7 @@ struct SettlingMap {
 };
 
 /// One assembled table row: the dwell bounds and achieved settling times
-/// for a single wait value. Rows are pure functions of (loop, wait, spec),
-/// which is what lets the oracle layer evaluate candidate waits in
-/// parallel and still assemble byte-identical tables.
+/// for a single wait value, a pure function of (loop, wait, spec).
 struct DwellRow {
   int t_minus = 0;            ///< T-dw(Tw)
   int t_plus = 0;             ///< T+dw(Tw)
@@ -95,19 +93,10 @@ struct DwellRow {
 };
 
 /// Evaluate one candidate wait: nullopt when the settling requirement is
-/// unmeetable at this wait (the serial search stops at the first such row).
+/// unmeetable at this wait (compute_dwell_tables stops at the first such
+/// row).
 [[nodiscard]] std::optional<DwellRow> compute_dwell_row(
     const SwitchedLoop& loop, int wait, const DwellAnalysisSpec& spec);
-
-/// Validate the spec and measure the mode-only settling times JT / JE.
-/// Shared prologue of the serial and parallel table searches; throws
-/// std::invalid_argument exactly like compute_dwell_tables.
-struct DwellEndpoints {
-  int settling_tt = 0;  ///< JT
-  int settling_et = 0;  ///< JE (horizon when ME alone never settles)
-};
-[[nodiscard]] DwellEndpoints check_dwell_spec(const SwitchedLoop& loop,
-                                              const DwellAnalysisSpec& spec);
 
 /// Exhaustively simulate all switching patterns allowed by the strategy
 /// and assemble the dwell tables. Throws std::invalid_argument when the

@@ -2,7 +2,12 @@
 // measurement, pole placement, LQR and switching stability — anchored on
 // the paper's numbers wherever the paper states them.
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "casestudy/apps.h"
 #include "control/design.h"
@@ -203,6 +208,20 @@ TEST(PaperNumbers, KuEIsNotCertifiedSwitchingStableWithKT) {
   EXPECT_FALSE(s.switching_stable());
 }
 
+TEST(PaperNumbers, KuEWorstPatternSettlesIn46Samples) {
+  // Sec. 3.1: with KuE some switching pattern settles later than staying
+  // in ME (JE = 35). The grid maximum is 46 samples, at wait 16, dwell 1.
+  const DiscreteLti plant = casestudy::dc_motor_position_plant();
+  const SwitchingStability s =
+      check_switching_stability(plant, casestudy::c1().kt,
+                                casestudy::ke_unstable());
+  EXPECT_EQ(s.settling_et, 35);
+  EXPECT_EQ(s.worst_settling, 46);
+  EXPECT_FALSE(s.degradation_free);
+  const SwitchedLoop loop(plant, casestudy::c1().kt, casestudy::ke_unstable());
+  EXPECT_EQ(loop.settling_of_pattern(16, 1, SettlingSpec{}), 46);
+}
+
 // ---------------------------------------------------------------- Design --
 
 TEST(Design, ControllabilityOfCaseStudyPlants) {
@@ -341,27 +360,165 @@ TEST(Simulation, ScheduleEquivalentToPattern) {
   for (size_t k = 0; k < a.size(); ++k) EXPECT_NEAR(a[k].y, b[k].y, 1e-12);
 }
 
+// settling_of_pattern runs on flattened dynamics and stops once the ME
+// tail provably stays in the band; it must agree exactly (not
+// approximately) with scanning the materialized full-horizon Trace.
+void expect_fast_path_matches_trace(const SwitchedLoop& loop, int wait,
+                                    int dwell, const SettlingSpec& spec,
+                                    const std::string& label) {
+  EXPECT_EQ(loop.settling_of_pattern(wait, dwell, spec),
+            settling_samples(loop.simulate_pattern(wait, dwell, spec),
+                             spec.abs_tol))
+      << label << " wait=" << wait << " dwell=" << dwell
+      << " horizon=" << spec.horizon;
+}
+
 TEST(Simulation, FastSettlingPathBitIdenticalToTraceScan) {
-  // settling_of_pattern runs on flattened dynamics; it must agree exactly
-  // (not approximately) with scanning the materialized Trace, for every
-  // app and a grid of patterns including the degenerate ones.
-  for (const casestudy::App& app : casestudy::all_apps()) {
-    const SwitchedLoop loop(app.plant, app.kt, app.ke);
-    const SettlingSpec spec{kSettlingTol, 600};
-    for (int wait : {0, 1, 3, 7, 20}) {
-      for (int dwell : {0, 1, 2, 5, 11}) {
-        const auto via_trace = settling_samples(
-            loop.simulate_pattern(wait, dwell, spec), spec.abs_tol);
-        const auto fast = loop.settling_of_pattern(wait, dwell, spec);
-        EXPECT_EQ(fast, via_trace)
-            << app.name << " wait=" << wait << " dwell=" << dwell;
+  // The whole grid check_switching_stability walks (wait <= JE + 5,
+  // dwell <= 12) at the solve's two horizons: 4000 for the stability grid
+  // and 3000 for the dwell tables. The causal simulation makes the first
+  // 3000 samples of a 4000-sample trace the 3000-horizon trace.
+  struct Pair {
+    std::string name;
+    SwitchedLoop loop;
+  };
+  std::vector<Pair> pairs;
+  for (const casestudy::App& app : casestudy::all_apps())
+    pairs.push_back({app.name, SwitchedLoop(app.plant, app.kt, app.ke)});
+  const DiscreteLti motor = casestudy::dc_motor_position_plant();
+  pairs.push_back(
+      {"KsE", SwitchedLoop(motor, casestudy::c1().kt, casestudy::ke_stable())});
+  pairs.push_back({"KuE", SwitchedLoop(motor, casestudy::c1().kt,
+                                       casestudy::ke_unstable())});
+  const SettlingSpec grid{kSettlingTol, 4000};
+  const SettlingSpec tables{kSettlingTol, 3000};
+  for (const Pair& pair : pairs) {
+    EXPECT_TRUE(std::isfinite(pair.loop.tail_gain())) << pair.name;
+    const int je = settling_samples(pair.loop.simulate_pattern(0, 0, grid),
+                                    grid.abs_tol)
+                       .value();
+    for (int wait = 0; wait <= je + 5; ++wait) {
+      for (int dwell = 0; dwell <= 12; ++dwell) {
+        Trace trace = pair.loop.simulate_pattern(wait, dwell, grid);
+        EXPECT_EQ(pair.loop.settling_of_pattern(wait, dwell, grid),
+                  settling_samples(trace, grid.abs_tol))
+            << pair.name << " wait=" << wait << " dwell=" << dwell;
+        trace.resize(static_cast<size_t>(tables.horizon));
+        EXPECT_EQ(pair.loop.settling_of_pattern(wait, dwell, tables),
+                  settling_samples(trace, tables.abs_tol))
+            << pair.name << " wait=" << wait << " dwell=" << dwell;
       }
     }
-    // Full-horizon TT pattern (wait + dwell == horizon boundary).
-    const SettlingSpec tight{kSettlingTol, 64};
-    EXPECT_EQ(loop.settling_of_pattern(0, 64, tight),
-              settling_samples(loop.simulate_pattern(0, 64, tight),
-                               tight.abs_tol));
+    // wait + dwell == horizon: the ME tail never starts.
+    expect_fast_path_matches_trace(pair.loop, 0, tables.horizon, tables,
+                                   pair.name);
+    expect_fast_path_matches_trace(pair.loop, 10, grid.horizon - 10, grid,
+                                   pair.name);
+    // Last violation on the last sample: nullopt, one sample more settles.
+    const SettlingSpec at_je{kSettlingTol, je};
+    const SettlingSpec past_je{kSettlingTol, je + 1};
+    EXPECT_EQ(pair.loop.settling_of_pattern(0, 0, at_je), std::nullopt)
+        << pair.name;
+    expect_fast_path_matches_trace(pair.loop, 0, 0, at_je, pair.name);
+    EXPECT_EQ(pair.loop.settling_of_pattern(0, 0, past_je), je) << pair.name;
+    expect_fast_path_matches_trace(pair.loop, 0, 0, past_je, pair.name);
+  }
+}
+
+TEST(Simulation, FastSettlingPathMatchesTraceOnPerturbedGains) {
+  // Seeded property: +-20 % perturbations of every gain entry (a pair
+  // left ME Schur-unstable gets tail gain +infinity and a full scan).
+  std::mt19937 rng(20190602);
+  std::uniform_real_distribution<double> scale(0.8, 1.2);
+  const std::vector<casestudy::App> apps = casestudy::all_apps();
+  const SettlingSpec spec{kSettlingTol, 3000};
+  for (int trial = 0; trial < 12; ++trial) {
+    const casestudy::App& app = apps[static_cast<size_t>(trial) % apps.size()];
+    Matrix kt = app.kt;
+    Matrix ke = app.ke;
+    for (Index j = 0; j < kt.cols(); ++j) kt(0, j) *= scale(rng);
+    for (Index j = 0; j < ke.cols(); ++j) ke(0, j) *= scale(rng);
+    const SwitchedLoop loop(app.plant, kt, ke);
+    const std::string label = app.name + " trial " + std::to_string(trial);
+    for (int wait = 0; wait <= 24; wait += 2)
+      for (int dwell : {0, 1, 2, 3, 5, 8, 12})
+        expect_fast_path_matches_trace(loop, wait, dwell, spec, label);
+  }
+}
+
+// Scalar plant x+ = a x + gamma u, y = x, with MT gain kt and a zero ME
+// gain: ME's matrix is [[a, gamma], [0, 0]], spectral radius a.
+SwitchedLoop scalar_loop(double a, double gamma, double kt) {
+  return SwitchedLoop(
+      DiscreteLti(Matrix{{a}}, Matrix{{gamma}}, Matrix{{1.0}}, 0.02),
+      Matrix{{kt}}, Matrix{{0.0, 0.0}});
+}
+
+TEST(Simulation, FastSettlingPathWithoutTailBoundScansFullHorizon) {
+  const SettlingSpec spec{kSettlingTol, 4000};
+
+  // Schur-stable but contracting too slowly for the 10 000-power cap
+  // (2 a^10000 > 1/2): no exit, yet a TT burst still settles the loop.
+  const SwitchedLoop slow = scalar_loop(0.99995, 1.0, 0.5);
+  EXPECT_EQ(slow.tail_gain(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(slow.settling_of_pattern(0, 0, spec), std::nullopt);
+  const std::optional<int> j_slow = slow.settling_of_pattern(0, 10, spec);
+  ASSERT_TRUE(j_slow.has_value());
+  EXPECT_LT(*j_slow, 10);
+  for (int wait : {0, 3})
+    for (int dwell : {0, 1, 10})
+      expect_fast_path_matches_trace(slow, wait, dwell, spec, "slow");
+
+  // Schur-unstable ME: after a TT burst the residue grows back out of the
+  // band, so the violation reaches the last sample.
+  const SwitchedLoop unstable = scalar_loop(1.01, 1.0, 0.9);
+  EXPECT_EQ(unstable.tail_gain(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(unstable.settling_of_pattern(0, 5, spec), std::nullopt);
+  for (int wait : {0, 3})
+    for (int dwell : {0, 5, 40})
+      expect_fast_path_matches_trace(unstable, wait, dwell, spec, "unstable");
+}
+
+TEST(Simulation, FastSettlingPathKeepsScanningWhileTheTailCanLeaveTheBand) {
+  // x+ = 0.5 x + 10 u_prev in ME, so the held input re-excites the
+  // output one sample after MT ends (tail gain 10.5).
+  const SettlingSpec spec{kSettlingTol, 3000};
+  // Deadbeat MT (x -> 0) leaves u_prev = -0.05 x: at (3, 1) the state is
+  // x = 0, |u_prev| = 0.00625 < abs_tol / 2, and y = -0.0625 follows.
+  const SwitchedLoop deadbeat = scalar_loop(0.5, 10.0, 0.05);
+  EXPECT_DOUBLE_EQ(deadbeat.tail_gain(), 10.5);
+  EXPECT_EQ(deadbeat.settling_of_pattern(3, 1, spec), 7);
+  for (int wait : {3, 4})
+    expect_fast_path_matches_trace(deadbeat, wait, 1, spec, "deadbeat");
+  // Expanding MT (x -> 10.5 x): the settled-looking ME wait is followed
+  // by a burst, so no exit before wait + dwell.
+  const SwitchedLoop expanding = scalar_loop(0.5, 10.0, -1.0);
+  for (int dwell : {1, 3})
+    expect_fast_path_matches_trace(expanding, 12, dwell, spec, "expanding");
+  EXPECT_GT(expanding.settling_of_pattern(12, 3, spec).value(), 15);
+}
+
+TEST(Simulation, TailGainBoundsEveryMeOutput) {
+  // |[c 0] A^j z| <= tail_gain() |z|_inf over a long ME run, for the unit
+  // vectors z (which make the bound tight in the 1-norm sense).
+  for (const casestudy::App& app : casestudy::all_apps()) {
+    const SwitchedLoop loop(app.plant, app.kt, app.ke);
+    const double g = loop.tail_gain();
+    ASSERT_TRUE(std::isfinite(g)) << app.name;
+    EXPECT_GE(g, 1.0) << app.name;  // r = 0 term: |c|_1 for c = e1
+    const Matrix a = switched_modes(app.plant, app.kt, app.ke).a_et;
+    const Index n = a.rows();
+    for (Index e = 0; e < n; ++e) {
+      Matrix z(n, 1);
+      z(e, 0) = 1.0;
+      for (int j = 0; j < 500; ++j) {
+        double y = 0.0;
+        for (Index r = 0; r + 1 < n; ++r) y += app.plant.c()(0, r) * z(r, 0);
+        EXPECT_LE(std::abs(y), g * (1.0 + 1e-12))
+            << app.name << " e=" << e << " j=" << j;
+        z = a * z;
+      }
+    }
   }
 }
 

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/oracle/dwell_search.h"
 #include "engine/oracle/incremental_oracle.h"
 #include "engine/oracle/slot_config_key.h"
 #include "engine/oracle/verdict_cache.h"

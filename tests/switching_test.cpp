@@ -59,6 +59,49 @@ TEST(DwellSpec, RejectsRequirementBelowJT) {
   EXPECT_THROW(compute_dwell_tables(loop, spec), std::invalid_argument);
 }
 
+TEST(DwellSpec, RejectsUnmeetableRequirementOnSlowPlant) {
+  const App app = casestudy::c6();
+  const SwitchedLoop loop(app.plant, app.kt, app.ke);
+  DwellAnalysisSpec spec = spec_for(app);
+  spec.settling_requirement = 1;  // J* < JT
+  EXPECT_THROW(static_cast<void>(compute_dwell_tables(loop, spec)),
+               std::invalid_argument);
+}
+
+// -------------------------------------------------------------- DwellRow --
+
+// Every table entry is the row of its wait, and the row one granule past
+// T*w is infeasible (where the search stopped).
+void expect_rows_assemble_tables(const App& app, int granularity) {
+  const SwitchedLoop loop(app.plant, app.kt, app.ke);
+  DwellAnalysisSpec spec = spec_for(app);
+  spec.tw_granularity = granularity;
+  const DwellTables tables = compute_dwell_tables(loop, spec);
+  ASSERT_TRUE(tables.feasible()) << app.name;
+  ASSERT_EQ(tables.entries(), tables.t_star_w / granularity + 1);
+  for (int i = 0; i < tables.entries(); ++i) {
+    const int wait = i * granularity;
+    const auto row = compute_dwell_row(loop, wait, spec);
+    ASSERT_TRUE(row.has_value()) << app.name << " wait " << wait;
+    const auto idx = static_cast<size_t>(i);
+    EXPECT_EQ(row->t_minus, tables.t_minus[idx]) << "wait " << wait;
+    EXPECT_EQ(row->t_plus, tables.t_plus[idx]) << "wait " << wait;
+    EXPECT_EQ(row->settling_at_minus, tables.settling_at_minus[idx]);
+    EXPECT_EQ(row->settling_at_plus, tables.settling_at_plus[idx]);
+  }
+  EXPECT_FALSE(compute_dwell_row(loop, tables.t_star_w + granularity, spec)
+                   .has_value())
+      << app.name;
+}
+
+TEST(DwellRow, AgreesWithAssembledTables) {
+  expect_rows_assemble_tables(casestudy::c1(), 1);
+}
+
+TEST(DwellRow, AgreesWithCoarseGranularityTables) {
+  expect_rows_assemble_tables(casestudy::c2(), 3);
+}
+
 // ----------------------------------------------------- Table 1 anchoring --
 
 TEST(Table1, C1TimingValues) {
