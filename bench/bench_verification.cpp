@@ -99,11 +99,14 @@ void report() {
               slow / fast);
 }
 
+/// The case study's 4-app proposed slot, in first-fit order.
+std::vector<verify::AppTiming> proposed_slot() {
+  return {bench::timing_of(casestudy::c1()), bench::timing_of(casestudy::c5()),
+          bench::timing_of(casestudy::c4()), bench::timing_of(casestudy::c3())};
+}
+
 void BM_DiscreteS1(benchmark::State& state) {
-  const std::vector<verify::AppTiming> s1{
-      bench::timing_of(casestudy::c1()), bench::timing_of(casestudy::c5()),
-      bench::timing_of(casestudy::c4()), bench::timing_of(casestudy::c3())};
-  const verify::DiscreteVerifier v(s1);
+  const verify::DiscreteVerifier v(proposed_slot());
   for (auto _ : state) {
     benchmark::DoNotOptimize(v.verify());
   }
@@ -119,6 +122,53 @@ void BM_DiscreteS2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiscreteS2)->Unit(benchmark::kMillisecond);
+
+// Equal-work verifier benches across proof_threads: a completed safe
+// proof reaches the same reachable set at any thread count, so the
+// `states` counter must read the same on every arg (1 440 712 states).
+void BM_DiscreteSafe(benchmark::State& state) {
+  const verify::DiscreteVerifier v(proposed_slot());
+  verify::DiscreteVerifier::Options opt;
+  opt.proof_threads = static_cast<int>(state.range(0));
+  long states = 0;
+  for (auto _ : state) {
+    const verify::SlotVerdict verdict = v.verify(opt);
+    states = verdict.states_explored;
+    benchmark::DoNotOptimize(verdict);
+  }
+  state.counters["states"] = static_cast<double>(states);
+}
+BENCHMARK(BM_DiscreteSafe)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// The same proof extended from its 3-app prefix snapshot (28 126
+// records), as the oracle's tier 3 runs it.
+void BM_DiscreteSafeSeeded(benchmark::State& state) {
+  std::vector<verify::AppTiming> apps = proposed_slot();
+  verify::DiscreteVerifier::Options opt;
+  verify::ExplorationState prefix;
+  static_cast<void>(
+      verify::DiscreteVerifier({apps.begin(), apps.end() - 1})
+          .verify(opt, nullptr, &prefix));
+  const verify::DiscreteVerifier v(std::move(apps));
+  opt.proof_threads = static_cast<int>(state.range(0));
+  long states = 0;
+  for (auto _ : state) {
+    const verify::SlotVerdict verdict = v.verify(opt, &prefix, nullptr);
+    states = verdict.states_explored;
+    benchmark::DoNotOptimize(verdict);
+  }
+  state.counters["states"] = static_cast<double>(states);
+  state.counters["seeds"] = static_cast<double>(prefix.state_count());
+}
+BENCHMARK(BM_DiscreteSafeSeeded)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DiscreteLarge(benchmark::State& state) {
   // The heap-fallback regime under the proof_threads sweep: 17

@@ -110,10 +110,9 @@ struct SolveOptions {
   int analysis_threads = 1;
   /// Thread budget of each discrete admission proof
   /// (verify::DiscreteVerifier::Options::proof_threads): 1 = serial
-  /// (default), 0 = hardware concurrency. > 1 routes fresh full proofs
-  /// to the Executor-parallel BFS driver; prefix-seeded extensions and
-  /// witness/depth-first diagnostics stay serial (their discovery order
-  /// is part of their contract). Results are independent of this value
+  /// (default), 0 = hardware concurrency. It changes wall time only:
+  /// every proof, fresh or prefix-seeded, runs the same level-synchronous
+  /// driver, so tier answers and results are independent of this value
   /// — like analysis_threads it is excluded from SolveKey, so warm and
   /// cold thread configurations share solve-result cache entries.
   int proof_threads = 1;

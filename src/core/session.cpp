@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <unordered_set>
@@ -87,6 +88,21 @@ void remove_at(Solution& solution, int idx) {
   solution.apps.erase(solution.apps.begin() + idx);
 }
 
+/// Boundary check of the options, before any analysis runs: values the
+/// verifier or the settling analysis cannot represent would otherwise
+/// surface mid-solve as a precondition failure or a misleading message.
+void validate_options(const SolveOptions& options) {
+  if (options.max_disturbances_per_app >
+      verify::DiscreteVerifier::kMaxDisturbanceBudget)
+    throw std::invalid_argument(
+        "SolveOptions: max_disturbances_per_app must not exceed " +
+        std::to_string(verify::DiscreteVerifier::kMaxDisturbanceBudget));
+  if (!std::isfinite(options.settling.abs_tol) ||
+      options.settling.abs_tol <= 0.0)
+    throw std::invalid_argument(
+        "SolveOptions: settling.abs_tol must be finite and positive");
+}
+
 /// Boundary check of designer input, before any key is built or any
 /// analysis runs: gains must fit the single-input plant (kt 1 x n, ke
 /// 1 x (n+1)) and be finite, and names must be unique within `specs` —
@@ -106,6 +122,11 @@ void validate_specs(const std::vector<AppSpec>& specs, const char* where) {
     if (!spec.kt.all_finite() || !spec.ke.all_finite())
       throw std::invalid_argument(std::string(where) + ": gains of " +
                                   spec.name + " are not finite");
+    if (spec.min_interarrival >= verify::DiscreteVerifier::kInterarrivalLimit)
+      throw std::invalid_argument(
+          std::string(where) + ": min_interarrival of " + spec.name +
+          " must stay below " +
+          std::to_string(verify::DiscreteVerifier::kInterarrivalLimit));
     if (!names.insert(spec.name).second)
       throw std::invalid_argument(std::string(where) +
                                   ": duplicate app name " + spec.name);
@@ -124,6 +145,7 @@ std::vector<verify::AppTiming> timings_of(const Solution& solution) {
 DimensioningSession::DimensioningSession(SolveOptions options)
     : options_(materialize_caches(std::move(options))),
       proof_threads_(engine::resolve_threads(options_.proof_threads)) {
+  validate_options(options_);
   verify::DiscreteVerifier::Options vopt;
   vopt.max_disturbances_per_app = options_.max_disturbances_per_app;
   vopt.policy = options_.policy;
@@ -149,7 +171,6 @@ DimensioningSession::OracleCounters DimensioningSession::counters() const {
   c.prefix_hits = oracle_->prefix_hits();
   c.states_reused = oracle_->states_reused();
   c.states_extended = oracle_->states_extended();
-  c.parallel_proofs = oracle_->parallel_proofs();
   return c;
 }
 
@@ -165,7 +186,6 @@ void DimensioningSession::stamp_oracle(SolveStats& stats,
   stats.prefix_hits += now.prefix_hits - before.prefix_hits;
   stats.states_reused += now.states_reused - before.states_reused;
   stats.states_extended += now.states_extended - before.states_extended;
-  stats.parallel_proofs += now.parallel_proofs - before.parallel_proofs;
   stats.proof_threads = proof_threads_;
 }
 
@@ -202,9 +222,14 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
       aspec.dwell.settling = options_.settling;
       aspec.dwell.tw_granularity = options_.tw_granularity;
       aspec.stop_on_unstable = options_.require_switching_stability;
-      const engine::analysis::AppAnalysisOutcome outcome =
-          engine::analysis::analyze_app(spec.plant, spec.kt, spec.ke, aspec,
-                                        cache, disk);
+      engine::analysis::AppAnalysisOutcome outcome;
+      try {
+        outcome = engine::analysis::analyze_app(spec.plant, spec.kt, spec.ke,
+                                                aspec, cache, disk);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("analysis of " + spec.name + ": " +
+                                    e.what());
+      }
       stability_ms[static_cast<size_t>(i)] = outcome.stability_ms;
       dwell_ms[static_cast<size_t>(i)] = outcome.dwell_ms;
       cache_hit[static_cast<size_t>(i)] = outcome.cache_hit ? 1 : 0;

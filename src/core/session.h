@@ -124,7 +124,7 @@ class DimensioningSession {
   struct OracleCounters {
     long calls = 0, exact_hits = 0, subsumption_hits = 0,
          subsumption_cuts = 0, misses = 0, states = 0, prefix_hits = 0,
-         states_reused = 0, states_extended = 0, parallel_proofs = 0;
+         states_reused = 0, states_extended = 0;
   };
   [[nodiscard]] OracleCounters counters() const;
   void stamp_oracle(engine::oracle::SolveStats& stats,

@@ -445,16 +445,17 @@ void run_iteration(long it, const FuzzConfig& config, FamilyCaches& family,
     oracles.push_back(std::make_unique<oracle::IncrementalAdmissionOracle>(
         vopt, std::make_shared<oracle::VerdictCache>(),
         std::make_shared<oracle::SnapshotCache>(), true, family.disk));
-  // Parallel-verifier configuration: private exact cache only, so every
-  // miss of this walk is a fresh proof on the Executor-parallel driver
-  // (proof_threads = 2). Its verdicts are contractually identical to
-  // serial ones, so its slot assignment must match the reference byte
-  // for byte — every admission of the walk cross-checks the parallel
-  // BFS against the serial trajectory.
+  // Parallel-verifier configuration: private exact and snapshot caches,
+  // so every miss of this walk is a proof at proof_threads = 2, fresh or
+  // extended from a snapshot captured at 2 threads. Its verdicts are
+  // contractually identical to serial ones, so its slot assignment must
+  // match the reference byte for byte — every admission of the walk
+  // cross-checks the multi-threaded BFS against the serial trajectory.
   verify::DiscreteVerifier::Options pvopt = vopt;
   pvopt.proof_threads = 2;
   oracles.push_back(std::make_unique<oracle::IncrementalAdmissionOracle>(
-      pvopt, std::make_shared<oracle::VerdictCache>(), nullptr, false));
+      pvopt, std::make_shared<oracle::VerdictCache>(),
+      std::make_shared<oracle::SnapshotCache>(), false));
 
   const std::vector<int> order = mapping::paper_sort_order(apps);
   std::vector<mapping::SlotAssignment> assignments;

@@ -13,10 +13,11 @@
 //      full-shared — the SolveOptions-toggle matrix at mapping level —
 //      plus a fresh-memory configuration over the persistent disk tier
 //      when a cache directory is configured, and a parallel-verifier
-//      configuration whose fresh proofs run with proof_threads = 2) and
-//      requires identical slot assignments; admitted and rejected
-//      populations are additionally re-proved serial-vs-parallel at
-//      verdict level (same `safe`; same states_explored when safe);
+//      configuration whose fresh and seeded proofs run with
+//      proof_threads = 2) and requires identical slot assignments;
+//      admitted and rejected populations are additionally re-proved
+//      serial-vs-parallel at verdict level (same `safe`; same
+//      states_explored when safe);
 //   3. re-verifies every admitted slot population with a fresh BFS and
 //      simulates it against every ScenarioGenerator kind plus a max-rate
 //      hyperperiod sweep — an admitted population must never miss a

@@ -68,18 +68,12 @@ verify::SlotVerdict IncrementalAdmissionOracle::verify(
   calls_.fetch_add(1, std::memory_order_relaxed);
   // Witness and depth-first queries bypass every tier: witnesses need
   // parenthood the seeded search cannot reconstruct, and depth-first
-  // traversal invalidates the FIFO discovery log the snapshots are built
+  // traversal keeps no breadth-first discovery log to build snapshots
   // from. Both re-prove fresh (they are rare, diagnostic queries).
   const bool bypass = options_.want_witness || options_.depth_first;
   if (bypass || (verdicts_ == nullptr && snapshots_ == nullptr)) {
     const verify::DiscreteVerifier verifier(slot_apps);
-    // Witnesses and DF are serial-only verifier features; the cacheless
-    // fresh-proof path keeps the configured thread budget.
-    verify::DiscreteVerifier::Options fresh = options_;
-    if (bypass) fresh.proof_threads = 1;
-    if (fresh.proof_threads > 1)
-      parallel_proofs_.fetch_add(1, std::memory_order_relaxed);
-    verify::SlotVerdict verdict = verifier.verify(fresh);
+    verify::SlotVerdict verdict = verifier.verify(options_);
     states_.fetch_add(verdict.states_explored, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
     return verdict;
@@ -196,7 +190,6 @@ verify::SlotVerdict IncrementalAdmissionOracle::verify(
   if (seed != nullptr) {
     verify::DiscreteVerifier::Options refute = options_;
     refute.depth_first = true;
-    refute.proof_threads = 1;  // DF dives are serial-only
     refute.max_states =
         std::min(options_.max_states,
                  std::max<long>(1024, static_cast<long>(seed->state_count())));
@@ -213,9 +206,9 @@ verify::SlotVerdict IncrementalAdmissionOracle::verify(
         return dive;
       }
       // Safe within the dive budget: the reachable set is small, but the
-      // snapshot still needs the FIFO discovery log — fall through to the
-      // (equally small) seeded proof. Verdicts agree byte-for-byte: both
-      // count exactly the reachable set.
+      // snapshot still needs the breadth-first discovery log — fall
+      // through to the (equally small) seeded proof. Verdicts agree
+      // byte-for-byte: both count exactly the reachable set.
     } catch (const std::runtime_error&) {
       // Budget exhausted — inconclusive (the dive's states are not
       // reported: the verdict object never materialized).
@@ -223,20 +216,10 @@ verify::SlotVerdict IncrementalAdmissionOracle::verify(
   }
 
   // ---- Tier 4 (or seeded tier 3): run the verifier. ---------------------
-  // A fresh full proof with a thread budget runs the Executor-parallel
-  // driver; seeded extensions stay serial (their FIFO discovery order is
-  // what the snapshot format records). Parallel proofs cannot capture a
-  // snapshot — the contract guarantees identical verdicts, not identical
-  // discovery order — so a parallel proof trades the tier-3 seed of
-  // *future* extensions for this proof's wall time.
-  const bool parallel = options_.proof_threads > 1 && seed == nullptr;
   verify::ExplorationState captured;
   verify::ExplorationState* capture =
-      (snapshots_ != nullptr && !parallel) ? &captured : nullptr;
-  verify::DiscreteVerifier::Options run = options_;
-  if (!parallel) run.proof_threads = 1;
-  if (parallel) parallel_proofs_.fetch_add(1, std::memory_order_relaxed);
-  verify::SlotVerdict verdict = verifier.verify(run, seed.get(), capture);
+      snapshots_ != nullptr ? &captured : nullptr;
+  verify::SlotVerdict verdict = verifier.verify(options_, seed.get(), capture);
   states_.fetch_add(verdict.states_explored, std::memory_order_relaxed);
   if (seed != nullptr) {
     const long reused = static_cast<long>(seed->state_count());

@@ -13,7 +13,7 @@ std::string SolveStats::summary() const {
       "mapping %.1f, baseline %.1f) | analysis cache %ld hits, %ld misses, "
       "%ld evictions | oracle %ld calls, %ld hits, %ld misses, %ld states | "
       "subsumption %ld hits, %ld cuts | prefix %ld hits, %ld reused, "
-      "%ld extended | parallel %ld proofs @%d threads | disk %ld hits, "
+      "%ld extended | proofs @%d threads | disk %ld hits, "
       "%ld misses, %ld writes, %ld trims | solution %ld hits, %ld misses | "
       "redim %ld events: %ld removals, %ld refits, %ld conflicts, "
       "%ld new slots",
@@ -21,7 +21,7 @@ std::string SolveStats::summary() const {
       analysis_hits, analysis_misses, analysis_evictions, oracle_calls,
       cache_hits, cache_misses, verifier_states, subsumption_hits,
       subsumption_cuts, prefix_hits, states_reused, states_extended,
-      parallel_proofs, proof_threads, disk_hits, disk_misses, disk_writes,
+      proof_threads, disk_hits, disk_misses, disk_writes,
       disk_trims, solution_hits, solution_misses, redimension_events,
       redimension_removals, redimension_refits, redimension_conflicts,
       redimension_new_slots);
@@ -45,7 +45,6 @@ SolveStats operator+(const SolveStats& a, const SolveStats& b) {
   out.prefix_hits = a.prefix_hits + b.prefix_hits;
   out.states_reused = a.states_reused + b.states_reused;
   out.states_extended = a.states_extended + b.states_extended;
-  out.parallel_proofs = a.parallel_proofs + b.parallel_proofs;
   out.analysis_hits = a.analysis_hits + b.analysis_hits;
   out.analysis_misses = a.analysis_misses + b.analysis_misses;
   out.analysis_evictions = a.analysis_evictions + b.analysis_evictions;

@@ -54,7 +54,6 @@ struct SolveStats {
   long prefix_hits = 0;       ///< runs seeded from a prefix snapshot
   long states_reused = 0;     ///< states seeded instead of re-derived
   long states_extended = 0;   ///< states explored beyond the seeds
-  long parallel_proofs = 0;   ///< fresh proofs on the parallel BFS driver
 
   // Analysis-cache counters (engine/analysis): per-app stability/dwell
   // results answered from the content-addressed AnalysisCache vs

@@ -5,13 +5,16 @@
 #include <atomic>
 #include <bitset>
 #include <cstring>
+#include <deque>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
-// The parallel proof driver fans frontier chunks out on the process-wide
-// work-stealing pool. This is the one place src/verify/ reaches into
-// src/engine/ (cpp-only; the header stays engine-free).
+// The breadth-first driver fans each level's chunks out on the
+// process-wide work-stealing pool. This is the one place src/verify/
+// reaches into src/engine/ (cpp-only; the header stays engine-free).
 #include "engine/executor.h"
 #include "support/check.h"
 #include "verify/visited_set.h"
@@ -104,7 +107,7 @@ constexpr size_t kMaxSteadyBranching = 26;
 /// enough to stay cache-resident.
 constexpr size_t kProbeBlock = 512;
 
-/// Minimum frontier states per parallel chunk — below this the chunking
+/// Minimum level states per chunk — below this the chunking
 /// overhead beats the win.
 constexpr long kParallelGrain = 8;
 
@@ -119,9 +122,9 @@ struct Probe {
   Key key;
 };
 
-/// One-state-to-all-successors generator, shared verbatim by the serial
-/// and the parallel drivers (which is what makes their reachable sets —
-/// and hence verdicts and states_explored — provably identical).
+/// One-state-to-all-successors generator, shared by the breadth-first and
+/// the depth-first driver (which is what makes their reachable sets, and
+/// hence their verdicts, provably identical).
 ///
 /// Two interior paths:
 ///  - expand_fast(): the kPaper no-witness hot path. Works directly on
@@ -164,7 +167,7 @@ class Expander {
   /// Error location (violation filled); otherwise feeds every successor
   /// key to `sink` — sink(Key&&) normally, or sink(Key&&, action, tick)
   /// when Record — and returns true. `seed_pop`/`prefix_napps` carry the
-  /// prefix-extension subset restriction (see run_search).
+  /// prefix-extension subset restriction (see run_breadth_first).
   template <bool Record, typename Sink>
   bool expand(const Key& cur_key, bool seed_pop, size_t prefix_napps,
               Violation& violation, Sink&& sink) {
@@ -521,43 +524,123 @@ class Expander {
   std::vector<uint8_t> disturb_b0_;
 };
 
-template <typename Shape>
-SlotVerdict run_search(const std::vector<AppTiming>& apps,
-                       const DiscreteVerifier::Options& options,
-                       const ExplorationState* extend_from,
-                       ExplorationState* capture) {
-  using Key = typename Shape::Key;
+/// Batched dedup: successors are hashed at emission and flushed
+/// kProbeBlock at a time; new keys append to `out`. Over one VisitedSet
+/// (`ordered`) a flush reserves room once, prefetches every home slot,
+/// then inserts in emission order, so batching only hides the probes'
+/// memory latency. Over the `striped` set a flush locks each stripe once
+/// for its candidates, so order follows the stripes.
+template <typename Key>
+struct ProbeBatch {
+  using Striped = detail::StripedVisitedSet<Key>;
+  VisitedSet<Key>* ordered = nullptr;
+  Striped* striped = nullptr;
+  std::vector<Key>* out = nullptr;
+  std::array<std::vector<Probe<Key>>, Striped::kNumStripes> buckets;
+  size_t pending = 0;
 
-  const size_t napps = apps.size();
-  TTDIM_EXPECTS(napps >= 1 && napps <= Shape::kKeyApps);
-  // The packed key stores the budget in 6 bits.
-  TTDIM_EXPECTS(options.max_disturbances_per_app <= 62);
-  // Prefix extension and snapshot capture rely on the FIFO queue doubling
-  // as the discovery-order log; witnesses would need parenthood for seeds.
-  if (extend_from != nullptr || capture != nullptr) {
-    TTDIM_EXPECTS(!options.depth_first);
-    TTDIM_EXPECTS(!options.want_witness);
+  void operator()(Key&& key) {
+    const size_t hash = VisitedSet<Key>::hash_of(key);
+    buckets[ordered != nullptr ? 0 : Striped::stripe_index(hash)].push_back(
+        Probe<Key>{hash, std::move(key)});
+    if (++pending >= kProbeBlock) flush();
   }
 
-  SlotVerdict verdict;
-  VisitedSet<Key> visited;
-  // FIFO via a head cursor: in breadth-first mode the vector is never
-  // popped, so after a completed (safe) search it holds every reachable
-  // state in discovery order — exactly the snapshot `capture` wants.
-  std::vector<Key> queue;
-  size_t head = 0;
-  // Parenthood for witness reconstruction: predecessor key, description,
-  // and the structured tick content.
-  struct Parenthood {
-    Key from;
-    std::string action;
-    WitnessTick tick;
-  };
-  std::unordered_map<Key, Parenthood, KeyHash<Key>> parent;
+  void flush() {
+    if (pending == 0) return;
+    pending = 0;
+    if (ordered != nullptr) {
+      std::vector<Probe<Key>>& block = buckets[0];
+      ordered->ensure_room(block.size());
+      for (const Probe<Key>& p : block) ordered->prefetch(p.hash);
+      for (Probe<Key>& p : block)
+        if (ordered->insert_hashed(p.hash, p.key))
+          out->push_back(std::move(p.key));
+      block.clear();
+      return;
+    }
+    for (size_t si = 0; si < Striped::kNumStripes; ++si) {
+      std::vector<Probe<Key>>& bucket = buckets[si];
+      if (bucket.empty()) continue;
+      typename Striped::Stripe& stripe = striped->stripe_at(si);
+      support::MutexLock lock(stripe.mu);
+      striped->reserve_in_stripe(stripe, bucket.size());
+      for (Probe<Key>& p : bucket)
+        if (striped->insert_in_stripe(stripe, p.hash, p.key))
+          out->push_back(std::move(p.key));
+      bucket.clear();
+    }
+  }
+};
 
-  // Number of seeded states; the first `seed_count` pops are exactly the
-  // seeds (FIFO), which is what licenses the subset restriction below.
-  size_t seed_count = 0;
+/// Witness bookkeeping: a state's first discoverer, with the tick's
+/// description and structured content.
+template <typename Key>
+struct Parenthood {
+  Key from;
+  std::string action;
+  WitnessTick tick;
+};
+template <typename Key>
+using Parents = std::unordered_map<Key, Parenthood<Key>, KeyHash<Key>>;
+
+/// Fills the witness of `leaf`, the state whose expansion reached Error
+/// by `final_action`, by walking its discoverers back to `init_key`.
+template <typename Key>
+void fill_witness(const Parents<Key>& parents, const Key& leaf,
+                  const std::string& final_action, const Key& init_key,
+                  SlotVerdict& verdict) {
+  verdict.witness = {final_action};
+  for (Key cur = leaf; cur != init_key;) {
+    const auto it = parents.find(cur);
+    if (it == parents.end()) break;
+    verdict.witness.push_back(it->second.action);
+    verdict.witness_ticks.push_back(it->second.tick);
+    cur = it->second.from;
+  }
+  verdict.witness.push_back("all applications steady");
+  std::reverse(verdict.witness.begin(), verdict.witness.end());
+  std::reverse(verdict.witness_ticks.begin(), verdict.witness_ticks.end());
+}
+
+/// Level-synchronous breadth-first search (Leiserson & Schardl, "A
+/// work-efficient parallel breadth-first search algorithm", SPAA 2010),
+/// the driver of every breadth-first query at every thread count. Level
+/// 0 is the initial state or a prefix snapshot's records; each level is
+/// expanded in chunks on engine::Executor. `log` holds the levels back to
+/// back: the discovery order, and the snapshot a safe run captures.
+///
+/// At one thread, and for witness queries, chunks run in order and
+/// insert into one VisitedSet in emission order: exactly a FIFO queue's
+/// discovery order, unsafe verdicts and witnesses included. With more
+/// threads chunks run concurrently over the striped set. Exact dedup
+/// keeps each level's set of states, hence safe verdicts and snapshots'
+/// record sets, independent of the thread count; an unsafe proof may
+/// meet a different violation first. max_states is charged once per
+/// expanded state (the FIFO pop-count rule), and a violation found in
+/// the same level wins over a concurrent budget trip (the sounder
+/// answer).
+template <typename Shape>
+SlotVerdict run_breadth_first(const std::vector<AppTiming>& apps,
+                              const DiscreteVerifier::Options& options,
+                              const ExplorationState* extend_from,
+                              ExplorationState* capture) {
+  using Key = typename Shape::Key;
+  const size_t napps = apps.size();
+  const int threads =
+      options.want_witness ? 1 : std::max(1, options.proof_threads);
+
+  // Exactly one of the two is allocated.
+  using Striped = detail::StripedVisitedSet<Key>;
+  const auto visited =
+      threads == 1 ? std::make_unique<VisitedSet<Key>>() : nullptr;
+  const auto striped = threads == 1 ? nullptr : std::make_unique<Striped>();
+  const auto insert = [&](const Key& k) {
+    return visited ? visited->insert(k)
+                   : striped->insert(VisitedSet<Key>::hash_of(k), k);
+  };
+
+  std::vector<Key> log;
   size_t prefix_napps = 0;
   const Key init_key = encode<Shape>(Shape::blank(napps), napps);
   if (extend_from != nullptr) {
@@ -571,241 +654,175 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
     TTDIM_EXPECTS(!base.packed.empty() && base.packed.size() % stride == 0);
     for (size_t i = 0; i < stride; ++i) TTDIM_EXPECTS(base.packed[i] == 0);
     prefix_napps = base.napps;
-    seed_count = base.packed.size() / stride;
-    visited.reserve(seed_count);
-    queue.reserve(seed_count);
-    for (size_t r = 0; r < seed_count; ++r) {
+    const size_t seeds = base.packed.size() / stride;
+    if (visited) visited->reserve(seeds);
+    log.reserve(seeds);
+    for (size_t r = 0; r < seeds; ++r) {
       Key k = Shape::make_key(3 * napps);
       std::memcpy(k.data(), base.packed.data() + r * stride, stride);
       // Appended applications start steady == all-zero record bytes, so
       // zero-extension *is* the embedding of the prefix state.
-      TTDIM_CHECK(visited.insert(k));  // prefix snapshot holds no duplicates
-      queue.push_back(std::move(k));
+      TTDIM_CHECK(insert(k));  // prefix snapshot holds no duplicates
+      log.push_back(std::move(k));
     }
   } else {
-    visited.insert(init_key);
-    queue.push_back(init_key);
+    insert(init_key);
+    log.push_back(init_key);
   }
 
-  auto build_witness = [&](const Key& leaf_key,
-                           const std::string& final_action) {
-    std::vector<std::string> steps{final_action};
-    Key cur = leaf_key;
-    while (cur != init_key) {
-      const auto it = parent.find(cur);
-      if (it == parent.end()) break;
-      steps.push_back(it->second.action);
-      verdict.witness_ticks.push_back(it->second.tick);
-      cur = it->second.from;
+  // Chunk scratch, kept across levels: chunk c of every level runs on
+  // lanes[c], and the one-table block is reserved up front. Small blocks
+  // allocated and regrown between the log's and the table's regrowth
+  // raised peak RSS by 5-12 MB.
+  struct Lane {
+    Expander<Shape> expander;
+    ProbeBatch<Key> batch;
+    std::vector<Key> next;  ///< the chunk's new keys (striped dedup)
+  };
+  std::deque<Lane> lanes;
+
+  Parents<Key> parents;
+  std::atomic<long> expanded{0};
+  std::atomic<bool> over_budget{false};
+  std::atomic<int> violator{-1};
+  size_t leaf = 0;  // log index of the state that reached Error
+  std::string leaf_action;
+  engine::Executor& executor = engine::Executor::global();
+  for (size_t begin = 0, end = log.size(); begin < end && violator < 0;
+       begin = end, end = log.size()) {
+    // Level 0 of an extension re-expands the seeds (Expander::expand).
+    const bool seed_level = begin == 0 && extend_from != nullptr;
+    const long level_size = static_cast<long>(end - begin);
+    const size_t chunks = static_cast<size_t>(
+        engine::Executor::chunk_count(threads, level_size, kParallelGrain));
+    while (lanes.size() < chunks) {
+      lanes.push_back({Expander<Shape>(apps, options),
+                       ProbeBatch<Key>{visited.get(), striped.get(), nullptr,
+                                       {}, 0},
+                       {}});
+      if (visited) lanes.back().batch.buckets[0].reserve(kProbeBlock);
     }
-    steps.push_back("all applications steady");
-    std::reverse(steps.begin(), steps.end());
-    std::reverse(verdict.witness_ticks.begin(), verdict.witness_ticks.end());
-    return steps;
-  };
-
-  Expander<Shape> expander(apps, options);
-  Key cur_key;
-
-  // Non-witness successors route through a probe block: hashed at
-  // emission, flushed in batches — ensure_room() once per flush, software
-  // prefetch of every home slot, then the inserts in emission order.
-  // Order in == order out, so discovery order (and with it fingerprints,
-  // snapshots and the DFS stack) is byte-identical to unbatched probing;
-  // only the memory latency of the probes changes.
-  std::vector<Probe<Key>> block;
-  block.reserve(kProbeBlock);
-  auto flush = [&]() {
-    visited.ensure_room(block.size());
-    for (const Probe<Key>& p : block) visited.prefetch(p.hash);
-    for (Probe<Key>& p : block)
-      if (visited.insert_hashed(p.hash, p.key))
-        queue.push_back(std::move(p.key));
-    block.clear();
-  };
-  auto sink = [&](Key&& key) {
-    const size_t hash = VisitedSet<Key>::hash_of(key);
-    block.push_back(Probe<Key>{hash, std::move(key)});
-    if (block.size() >= kProbeBlock) flush();
-  };
-  // The witness path keeps per-emission inserts: parenthood must be
-  // recorded exactly for the keys that are genuinely new.
-  auto record_sink = [&](Key&& key, const std::string& action,
-                         WitnessTick&& tick) {
-    if (!visited.insert(key)) return;
-    parent.emplace(key, Parenthood{cur_key, action, std::move(tick)});
-    queue.push_back(std::move(key));
-  };
-
-  while (head < queue.size()) {
-    if (options.depth_first) {
-      cur_key = std::move(queue.back());
-      queue.pop_back();
-    } else {
-      cur_key = queue[head];  // the vector doubles as the discovery log
-      ++head;
-    }
-    // True while this pop re-expands a seeded prefix state (seeds occupy
-    // the front of the FIFO queue, so the pop index identifies them).
-    const bool seed_pop = !options.depth_first && head <= seed_count &&
-                          extend_from != nullptr;
-    ++verdict.states_explored;
-    if (verdict.states_explored > options.max_states)
+    executor.run_chunks(
+        threads, level_size, kParallelGrain,
+        [&](int chunk, long lo, long hi) {
+          Lane& lane = lanes[static_cast<size_t>(chunk)];
+          // Over one table the chunks run one after another and append
+          // straight to the log, exactly as a FIFO queue would.
+          std::vector<Key>& out = visited ? log : lane.next;
+          lane.batch.out = &out;
+          Key cur;
+          // Witness queries insert per emission, so parenthood is
+          // recorded exactly for the keys that are new.
+          auto record = [&](Key&& key, const std::string& action,
+                            WitnessTick&& tick) {
+            if (!visited->insert(key)) return;
+            parents.emplace(key,
+                            Parenthood<Key>{cur, action, std::move(tick)});
+            out.push_back(std::move(key));
+          };
+          typename Expander<Shape>::Violation violation;
+          for (long i = lo; i < hi; ++i) {
+            if (violator.load(std::memory_order_relaxed) >= 0 ||
+                over_budget.load(std::memory_order_relaxed))
+              return;  // another chunk already decided the proof's fate
+            if (expanded.fetch_add(1, std::memory_order_relaxed) >=
+                options.max_states) {
+              over_budget.store(true, std::memory_order_relaxed);
+              return;
+            }
+            cur = log[begin + static_cast<size_t>(i)];  // appends move the log
+            const bool ok =
+                options.want_witness
+                    ? lane.expander.template expand<true>(
+                          cur, seed_level, prefix_napps, violation, record)
+                    : lane.expander.template expand<false>(
+                          cur, seed_level, prefix_napps, violation,
+                          lane.batch);
+            if (!ok) {
+              int none = -1;
+              if (violator.compare_exchange_strong(
+                      none, violation.violator, std::memory_order_relaxed)) {
+                leaf = begin + static_cast<size_t>(i);
+                leaf_action = std::move(violation.action);
+              }
+              return;
+            }
+          }
+          lane.batch.flush();
+        });
+    // run_chunks is a barrier (the Executor joins every chunk), so plain
+    // reads observe everything the chunks wrote.
+    if (over_budget.load() && violator.load() < 0)
       throw std::runtime_error("DiscreteVerifier: state budget exhausted");
-
-    typename Expander<Shape>::Violation violation;
-    const bool ok =
-        options.want_witness
-            ? expander.template expand<true>(cur_key, seed_pop, prefix_napps,
-                                             violation, record_sink)
-            : expander.template expand<false>(cur_key, seed_pop, prefix_napps,
-                                              violation, sink);
-    if (!ok) {
-      verdict.safe = false;
-      verdict.violator = violation.violator;
-      if (options.want_witness)
-        verdict.witness = build_witness(cur_key, violation.action);
-      return verdict;
+    for (Lane& lane : lanes) {
+      log.insert(log.end(), std::make_move_iterator(lane.next.begin()),
+                 std::make_move_iterator(lane.next.end()));
+      lane.next.clear();
     }
-    // Successors must be visible before the next pop (the DFS stack pops
-    // them immediately; the BFS loop condition reads queue.size()).
-    if (!block.empty()) flush();
   }
 
-  verdict.safe = true;
-  if (capture != nullptr) {
-    // Safe == exhausted queue == the FIFO log is the full reachable set.
+  SlotVerdict verdict;
+  verdict.violator = violator.load();
+  verdict.safe = verdict.violator < 0;
+  verdict.states_explored = expanded.load();
+  if (!verdict.safe && options.want_witness)
+    fill_witness(parents, log[leaf], leaf_action, init_key, verdict);
+  if (verdict.safe && capture != nullptr) {
+    // Safe == every level expanded == the log is the full reachable set.
     capture->napps = napps;
     capture->packed.clear();
-    capture->packed.reserve(queue.size() * 3 * napps);
-    for (const Key& k : queue)
+    capture->packed.reserve(log.size() * 3 * napps);
+    for (const Key& k : log)
       capture->packed.insert(capture->packed.end(), k.data(),
                              k.data() + 3 * napps);
   }
   return verdict;
 }
 
-/// Level-synchronous parallel BFS: each level's frontier is split into
-/// contiguous chunks on the process-wide Executor; every chunk expands
-/// its states through the same Expander the serial driver uses and
-/// deduplicates through the striped visited set (per-stripe probe
-/// buckets, one lock + one ensure_room per stripe per flush). Because
-/// dedup is exact and the expansion relation is deterministic, the set
-/// of states discovered per level — and hence the whole reachable set —
-/// is identical to serial at any thread count; only the order within a
-/// level varies. A completed safe proof therefore reports exactly the
-/// serial states_explored.
-///
-/// max_states is enforced through a shared atomic budget charged once
-/// per expanded state (the same charging rule as the serial pop
-/// counter), so budget exhaustion fires iff the serial run would have
-/// fired it. A discovered violation wins over a concurrent budget trip:
-/// reporting unsafe is always the sounder answer, and it keeps the one
-/// corner where the two events race inside a single level (only
-/// possible when the budget lands mid-level of an unsafe proof)
-/// conservative.
+/// Depth-first search, the oracle's refutation dive: a stack walk on the
+/// calling thread (proof_threads does not apply). Successors are pushed
+/// in emission order and the newest is popped first, so the walk plunges
+/// into the simultaneous-disturbance branches.
 template <typename Shape>
-SlotVerdict run_parallel(const std::vector<AppTiming>& apps,
-                         const DiscreteVerifier::Options& options) {
+SlotVerdict run_depth_first(const std::vector<AppTiming>& apps,
+                            const DiscreteVerifier::Options& options) {
   using Key = typename Shape::Key;
-  using Striped = detail::StripedVisitedSet<Key>;
-
-  const size_t napps = apps.size();
-  TTDIM_EXPECTS(napps >= 1 && napps <= Shape::kKeyApps);
-  TTDIM_EXPECTS(options.max_disturbances_per_app <= 62);
-
-  Striped visited;
-  std::vector<Key> frontier;
-  {
-    const Key init_key = encode<Shape>(Shape::blank(napps), napps);
-    TTDIM_CHECK(visited.insert(VisitedSet<Key>::hash_of(init_key), init_key));
-    frontier.push_back(init_key);
-  }
-
-  std::atomic<long> expanded{0};
-  std::atomic<bool> over_budget{false};
-  std::atomic<bool> error_found{false};
-  std::atomic<int> violator{-1};
-
-  engine::Executor& executor = engine::Executor::global();
-  while (!frontier.empty()) {
-    const long level_size = static_cast<long>(frontier.size());
-    const int chunks = engine::Executor::chunk_count(
-        options.proof_threads, level_size, kParallelGrain);
-    std::vector<std::vector<Key>> next(static_cast<size_t>(chunks));
-    executor.run_chunks(
-        options.proof_threads, level_size, kParallelGrain,
-        [&](int chunk, long lo, long hi) {
-          Expander<Shape> expander(apps, options);
-          std::vector<Key>& out = next[static_cast<size_t>(chunk)];
-          std::array<std::vector<Probe<Key>>, Striped::kNumStripes> buckets;
-          size_t pending = 0;
-          auto flush = [&]() {
-            for (size_t si = 0; si < Striped::kNumStripes; ++si) {
-              std::vector<Probe<Key>>& bucket = buckets[si];
-              if (bucket.empty()) continue;
-              typename Striped::Stripe& stripe = visited.stripe_at(si);
-              support::MutexLock lock(stripe.mu);
-              visited.reserve_in_stripe(stripe, bucket.size());
-              for (Probe<Key>& p : bucket)
-                if (visited.insert_in_stripe(stripe, p.hash, p.key))
-                  out.push_back(std::move(p.key));
-              bucket.clear();
-            }
-            pending = 0;
-          };
-          auto sink = [&](Key&& key) {
-            const size_t hash = VisitedSet<Key>::hash_of(key);
-            buckets[Striped::stripe_index(hash)].push_back(
-                Probe<Key>{hash, std::move(key)});
-            if (++pending >= kProbeBlock) flush();
-          };
-          typename Expander<Shape>::Violation violation;
-          for (long i = lo; i < hi; ++i) {
-            if (error_found.load(std::memory_order_relaxed) ||
-                over_budget.load(std::memory_order_relaxed))
-              return;  // another chunk already decided the proof's fate
-            const long count =
-                expanded.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (count > options.max_states) {
-              over_budget.store(true, std::memory_order_relaxed);
-              return;
-            }
-            if (!expander.template expand<false>(
-                    frontier[static_cast<size_t>(i)], /*seed_pop=*/false,
-                    /*prefix_napps=*/0, violation, sink)) {
-              int expected = -1;
-              violator.compare_exchange_strong(expected, violation.violator,
-                                               std::memory_order_relaxed);
-              error_found.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          if (pending > 0) flush();
-        });
-    // run_chunks is a barrier (the Executor joins every chunk), so plain
-    // loads below observe everything the workers wrote.
-    if (error_found.load()) {
-      SlotVerdict verdict;
-      verdict.safe = false;
-      verdict.violator = violator.load();
-      verdict.states_explored = expanded.load();
+  const Key init_key = encode<Shape>(Shape::blank(apps.size()), apps.size());
+  VisitedSet<Key> visited;
+  visited.insert(init_key);
+  std::vector<Key> stack{init_key};
+  ProbeBatch<Key> batch{&visited, nullptr, &stack, {}, 0};
+  batch.buckets[0].reserve(kProbeBlock);
+  Parents<Key> parents;
+  Key cur;
+  auto record = [&](Key&& key, const std::string& action,
+                    WitnessTick&& tick) {
+    if (!visited.insert(key)) return;
+    parents.emplace(key, Parenthood<Key>{cur, action, std::move(tick)});
+    stack.push_back(std::move(key));
+  };
+  Expander<Shape> expander(apps, options);
+  typename Expander<Shape>::Violation violation;
+  SlotVerdict verdict;
+  while (!stack.empty()) {
+    cur = std::move(stack.back());
+    stack.pop_back();
+    if (++verdict.states_explored > options.max_states)
+      throw std::runtime_error("DiscreteVerifier: state budget exhausted");
+    const bool ok =
+        options.want_witness
+            ? expander.template expand<true>(cur, false, 0, violation, record)
+            : expander.template expand<false>(cur, false, 0, violation,
+                                              batch);
+    if (!ok) {
+      verdict.violator = violation.violator;
+      if (options.want_witness)
+        fill_witness(parents, cur, violation.action, init_key, verdict);
       return verdict;
     }
-    if (over_budget.load())
-      throw std::runtime_error("DiscreteVerifier: state budget exhausted");
-
-    size_t total = 0;
-    for (const std::vector<Key>& v : next) total += v.size();
-    frontier.clear();
-    frontier.reserve(total);
-    for (std::vector<Key>& v : next)
-      for (Key& k : v) frontier.push_back(std::move(k));
+    batch.flush();  // the next pop takes the newest successor
   }
-
-  SlotVerdict verdict;
   verdict.safe = true;
-  verdict.states_explored = expanded.load();
   return verdict;
 }
 
@@ -823,10 +840,9 @@ DiscreteVerifier::DiscreteVerifier(std::vector<AppTiming> apps)
         "is intractable long before this bound)");
   for (const AppTiming& a : apps_) {
     a.validate();
-    // Every representation stores counters in bytes.
-    TTDIM_EXPECTS(a.min_interarrival < 250);
+    TTDIM_EXPECTS(a.min_interarrival < kInterarrivalLimit);
     TTDIM_EXPECTS(a.t_star_w + a.t_plus[static_cast<size_t>(a.t_star_w)] <
-                  250);
+                  kInterarrivalLimit);
   }
 }
 
@@ -837,25 +853,23 @@ SlotVerdict DiscreteVerifier::verify(const Options& options) const {
 SlotVerdict DiscreteVerifier::verify(const Options& options,
                                      const ExplorationState* extend_from,
                                      ExplorationState* capture) const {
+  // Seeds carry no parenthood, and a stack walk keeps no discovery log.
+  if (extend_from != nullptr)
+    TTDIM_EXPECTS(!options.depth_first && !options.want_witness);
+  if (capture != nullptr) TTDIM_EXPECTS(!options.depth_first);
+  TTDIM_EXPECTS(options.max_disturbances_per_app <= kMaxDisturbanceBudget);
+  const auto run = [&](auto shape) {
+    using Shape = decltype(shape);
+    return options.depth_first
+               ? run_depth_first<Shape>(apps_, options)
+               : run_breadth_first<Shape>(apps_, options, extend_from,
+                                          capture);
+  };
   const size_t napps = apps_.size();
-  if (options.proof_threads > 1) {
-    // The parallel driver proves fresh, non-diagnostic queries only:
-    // witnesses need parenthood, depth-first is inherently a stack walk,
-    // and snapshot capture / prefix seeding rely on the serial FIFO
-    // discovery log (header contract; callers must drop to serial for
-    // those).
-    TTDIM_EXPECTS(extend_from == nullptr && capture == nullptr);
-    TTDIM_EXPECTS(!options.want_witness && !options.depth_first);
-    if (options.backend == StateBackend::kUnpacked || napps > kMaxApps)
-      return run_parallel<HeapShape>(apps_, options);
-    if (3 * napps <= 16) return run_parallel<PackedShape<16>>(apps_, options);
-    return run_parallel<PackedShape<48>>(apps_, options);
-  }
   if (options.backend == StateBackend::kUnpacked || napps > kMaxApps)
-    return run_search<HeapShape>(apps_, options, extend_from, capture);
-  if (3 * napps <= 16)
-    return run_search<PackedShape<16>>(apps_, options, extend_from, capture);
-  return run_search<PackedShape<48>>(apps_, options, extend_from, capture);
+    return run(HeapShape{});
+  if (3 * napps <= 16) return run(PackedShape<16>{});
+  return run(PackedShape<48>{});
 }
 
 void encode(support::codec::Encoder& enc, const SlotVerdict& verdict) {

@@ -114,6 +114,10 @@ class DiscreteVerifier {
   /// Absolute cap: beyond this the 2^napps disturbance branching is
   /// intractable under any representation and the constructor refuses.
   static constexpr std::size_t kMaxAppsUnpacked = 62;
+  /// State counters are bytes: every min_interarrival stays below this.
+  static constexpr int kInterarrivalLimit = 250;
+  /// Keys store the disturbance count in 6 bits: Options' largest bound.
+  static constexpr int kMaxDisturbanceBudget = 62;
 
   /// State-representation override for tests: kAuto picks the packed
   /// encoding sized to the population (heap beyond kMaxApps); kUnpacked
@@ -141,23 +145,19 @@ class DiscreteVerifier {
     bool depth_first = false;
     /// Testing hook, see StateBackend.
     StateBackend backend = StateBackend::kAuto;
-    /// Thread budget for this proof. <= 1 (default) runs the serial
-    /// driver, whose discovery order — and therefore fingerprints,
-    /// snapshots and witnesses — is byte-identical across releases.
-    /// > 1 runs the level-synchronous parallel BFS on the process-wide
-    /// engine::Executor: per-level frontier chunks, striped visited set.
-    /// Contract: identical verdicts at any thread count, and identical
-    /// states_explored for completed safe proofs (level-synchronous
-    /// exact dedup makes the reachable set order-independent); unsafe
-    /// proofs agree on `safe` but may differ in violator and
-    /// states_explored, exactly like depth-first vs breadth-first.
-    /// max_states is enforced through a shared atomic budget with the
-    /// serial charging rule, so budget exhaustion of a safe proof fires
-    /// iff serial fires it. Parallel proofs are fresh-only: prefix
-    /// seeding, snapshot capture, witnesses and depth-first all require
-    /// the serial driver (precondition failure otherwise — see verify).
-    /// Never part of oracle cache keys: the contract makes serial and
-    /// parallel verdicts interchangeable.
+    /// Thread budget for this proof; it changes wall time only. Every
+    /// breadth-first query (fresh, prefix-seeded, capturing or
+    /// witness-recording) runs one level-synchronous driver whose levels
+    /// are chunked on the process-wide engine::Executor. At <= 1
+    /// (default), and for witness queries, successors are inserted in
+    /// emission order, so discovery order, unsafe verdicts, witnesses and
+    /// snapshots are byte-identical across releases. Above 1 the chunks
+    /// dedup concurrently: verdicts, a completed safe proof's
+    /// states_explored and its snapshot's set of records stay identical,
+    /// while an unsafe proof may report another violator and count, like
+    /// depth-first vs breadth-first. max_states is charged once per
+    /// expanded state at any budget. Depth-first walks ignore this field.
+    /// Never part of oracle cache keys.
     int proof_threads = 1;
 
     Options() {}
@@ -196,8 +196,9 @@ class DiscreteVerifier {
   /// `capture`, when non-null, receives the snapshot of this run's
   /// reachable set if (and only if) the verdict is safe.
   ///
-  /// Both features require the default breadth-first traversal and no
-  /// witness recording; violations are precondition failures.
+  /// Both require breadth-first traversal, and extension also requires
+  /// no witness recording (seeds have no recorded parents); violations
+  /// are precondition failures.
   [[nodiscard]] SlotVerdict verify(const Options& options,
                                    const ExplorationState* extend_from,
                                    ExplorationState* capture) const;

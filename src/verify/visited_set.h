@@ -1,10 +1,10 @@
 // Dedup machinery of the discrete-time verifier's BFS: packed state keys,
 // the word-at-a-time key hash, the open-addressing VisitedSet, and the
-// striped (sharded-by-hash) variant the Executor-parallel proof driver
-// deduplicates through.
+// striped (sharded-by-hash) variant the breadth-first driver
+// deduplicates through when a proof runs on more than one thread.
 //
 // Everything here used to live in discrete.cpp's anonymous namespace; it
-// is a header so (a) the serial and parallel drivers share one growth /
+// is a header so (a) the one-table and the striped dedup share one growth /
 // load-factor policy, and (b) the striped set's GUARDED_BY/REQUIRES
 // contracts are visible to the configure-time thread-safety probes
 // (tests/compile_fail/striped_unguarded_fails.cpp must NOT compile under
@@ -115,7 +115,7 @@ struct KeyHash {
 /// stays several times smaller than a node-based set and the BFS's tens
 /// of millions of membership-or-insert probes stay in cache accordingly).
 ///
-/// Growth policy (shared by the serial and the striped parallel paths):
+/// Growth policy (shared by the one-table and the striped dedup):
 /// capacity is always a power of two sized once, up front, to the 0.75
 /// load-factor bound — reserve()/ensure_room() round the expected key
 /// count up to the bound, so the hot probe loop (insert_hashed) carries
@@ -185,8 +185,6 @@ class VisitedSet {
     return insert_hashed(hash_of(k), k);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
  private:
   void rehash(std::size_t capacity) {
     std::vector<Key> old = std::move(slots_);
@@ -216,7 +214,7 @@ constexpr std::size_t log2_floor(std::size_t n) {
   return b;
 }
 
-/// The parallel proof driver's visited set: one VisitedSet per stripe,
+/// The multi-threaded proofs' visited set: one VisitedSet per stripe,
 /// sharded by the TOP bits of the key hash (the per-stripe tables index
 /// by the low bits, so the two selections never alias). Per-thread
 /// frontier chunks batch their candidate keys by stripe and take each
@@ -261,7 +259,7 @@ class StripedVisitedSet {
   /// Batched-flush protocol, under one lock acquisition per stripe:
   /// reserve_in_stripe(count) once, then insert_in_stripe() for each
   /// candidate — the growth check runs once per flush, not once per
-  /// probe, exactly like the serial ensure_room()/insert_hashed() pair.
+  /// probe, exactly like the one-table ensure_room()/insert_hashed() pair.
   void reserve_in_stripe(Stripe& stripe, std::size_t n) REQUIRES(stripe.mu) {
     stripe.set.ensure_room(n);
   }
@@ -279,17 +277,6 @@ class StripedVisitedSet {
     support::MutexLock lock(stripe.mu);
     stripe.set.ensure_room(1);
     return stripe.set.insert_hashed(hash, k);
-  }
-
-  /// Total keys across stripes (quiescent callers only — the per-stripe
-  /// locks are taken one at a time, so a concurrent insert can be missed).
-  [[nodiscard]] std::size_t size() {
-    std::size_t total = 0;
-    for (Stripe& stripe : stripes_) {
-      support::MutexLock lock(stripe.mu);
-      total += stripe.set.size();
-    }
-    return total;
   }
 
  private:

@@ -4,6 +4,8 @@
 // prefix-extension entry point must reproduce from-scratch results
 // byte-for-byte on safe configurations — the invariant the incremental
 // admission oracle rests on.
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -272,36 +274,75 @@ TEST(DiscreteLarge, ParallelHeapFallbackMatchesSerial) {
   EXPECT_EQ(verifier.verify(options), reference);
 }
 
-TEST(DiscreteLarge, ParallelRejectsSerialOnlyFeatures) {
-  // Witnesses, depth-first traversal, prefix seeding and snapshot capture
-  // all depend on the serial driver's discovery order; requesting them
-  // with a thread budget is a precondition failure, never a silent
-  // serial fallback the caller can't see.
-  const std::vector<AppTiming> pair = {uniform_app("A", 3, 2, 4, 10),
-                                       uniform_app("B", 5, 1, 2, 9)};
-  ExplorationState snapshot;
-  const DiscreteVerifier::Options base;
-  ASSERT_TRUE(DiscreteVerifier({pair[0]})
-                  .verify(base, nullptr, &snapshot)
-                  .safe);
-  const DiscreteVerifier verifier(pair);
+/// A snapshot's records, sorted: equal sets of records compare equal
+/// whatever their discovery order within a level.
+std::vector<std::vector<uint8_t>> record_set(const ExplorationState& s) {
+  const size_t stride = 3 * s.napps;
+  std::vector<std::vector<uint8_t>> records;
+  for (size_t off = 0; off < s.packed.size(); off += stride)
+    records.emplace_back(s.packed.begin() + static_cast<long>(off),
+                         s.packed.begin() + static_cast<long>(off + stride));
+  std::sort(records.begin(), records.end());
+  return records;
+}
+
+TEST(DiscreteLarge, ParallelExtendsCapturesAndWitnessesLikeSerial) {
+  // proof_threads changes wall time only. Prefix-seeded and capturing
+  // proofs at 2 and 8 threads return serial's safe verdict, and capture
+  // the same set of records (their order within a level may differ; the
+  // initial state still leads). Witness and depth-first queries at 2
+  // threads return serial's verdict and witness byte for byte.
+  const std::vector<AppTiming> apps = clones(4, 4, 1, 1, 8);
+  const std::vector<AppTiming> prefix(apps.begin(), apps.end() - 1);
+  const DiscreteVerifier verifier(apps);
+  DiscreteVerifier::Options serial;
+  serial.max_disturbances_per_app = 1;
+  ExplorationState seed;
+  ASSERT_TRUE(DiscreteVerifier(prefix).verify(serial, nullptr, &seed).safe);
+  ExplorationState serial_capture;
+  const SlotVerdict reference =
+      verifier.verify(serial, &seed, &serial_capture);
+  ASSERT_TRUE(reference.safe);
+  ASSERT_EQ(reference, verifier.verify(serial));
+  for (const int threads : {2, 8}) {
+    DiscreteVerifier::Options parallel = serial;
+    parallel.proof_threads = threads;
+    ExplorationState parallel_seed;
+    ASSERT_TRUE(DiscreteVerifier(prefix)
+                    .verify(parallel, nullptr, &parallel_seed)
+                    .safe);
+    EXPECT_EQ(record_set(parallel_seed), record_set(seed)) << threads;
+    for (const ExplorationState* from : {&seed, &parallel_seed}) {
+      ExplorationState captured;
+      EXPECT_EQ(verifier.verify(parallel, from, &captured), reference)
+          << threads;
+      EXPECT_EQ(captured.napps, apps.size());
+      EXPECT_EQ(record_set(captured), record_set(serial_capture)) << threads;
+      for (size_t b = 0; b < 3 * apps.size(); ++b)
+        EXPECT_EQ(captured.packed[b], 0) << b;
+    }
+    // A snapshot captured in parallel seeds a serial extension too.
+    EXPECT_EQ(verifier.verify(serial, &parallel_seed, nullptr), reference)
+        << threads;
+  }
+
+  const DiscreteVerifier unsafe({uniform_app("A", 2, 2, 2, 7),
+                                 uniform_app("B", 2, 2, 2, 7),
+                                 uniform_app("C", 2, 2, 2, 7)});
   DiscreteVerifier::Options witness;
-  witness.proof_threads = 2;
   witness.want_witness = true;
-  EXPECT_THROW(static_cast<void>(verifier.verify(witness)), std::logic_error);
-  DiscreteVerifier::Options dfs;
-  dfs.proof_threads = 2;
-  dfs.depth_first = true;
-  EXPECT_THROW(static_cast<void>(verifier.verify(dfs)), std::logic_error);
-  DiscreteVerifier::Options parallel;
-  parallel.proof_threads = 2;
-  EXPECT_THROW(
-      static_cast<void>(verifier.verify(parallel, &snapshot, nullptr)),
-      std::logic_error);
-  ExplorationState capture;
-  EXPECT_THROW(
-      static_cast<void>(verifier.verify(parallel, nullptr, &capture)),
-      std::logic_error);
+  DiscreteVerifier::Options dive;
+  dive.depth_first = true;
+  DiscreteVerifier::Options dive_witness = dive;
+  dive_witness.want_witness = true;
+  for (DiscreteVerifier::Options query : {witness, dive, dive_witness}) {
+    const SlotVerdict expected = unsafe.verify(query);
+    ASSERT_FALSE(expected.safe);
+    EXPECT_EQ(expected.witness.empty(), !query.want_witness);
+    query.proof_threads = 2;
+    EXPECT_EQ(unsafe.verify(query), expected)
+        << query.depth_first << query.want_witness;
+  }
 }
 
 }  // namespace

@@ -263,6 +263,32 @@ TEST(IncrementalSolve, OnOffSerialParallelFingerprintIdentically) {
     EXPECT_EQ(b.stats.prefix_hits, 0) << "job " << i;
     EXPECT_EQ(b.stats.states_reused, 0) << "job " << i;
   }
+
+  // proof_threads changes wall time only: every proof, prefix-seeded or
+  // capturing, runs at the configured budget, so the cold case-study
+  // solve at 2 and 8 proof threads keeps the 1-thread fingerprint and
+  // tier split, prefix (tier-3) hits included.
+  std::vector<core::AppSpec> specs;
+  for (const casestudy::App& app : casestudy::all_apps())
+    specs.push_back(spec_of(app, app.min_interarrival));
+  const core::Solution serial = core::solve(specs);
+  EXPECT_EQ(serial.stats.prefix_hits, 4);
+  for (const int threads : {2, 8}) {
+    core::SolveOptions options;
+    options.proof_threads = threads;
+    const core::Solution parallel = core::solve(specs, options);
+    const SolveStats& s = serial.stats;
+    const SolveStats& p = parallel.stats;
+    EXPECT_EQ(fingerprint(parallel), fingerprint(serial)) << threads;
+    EXPECT_EQ(p.oracle_calls, s.oracle_calls) << threads;
+    EXPECT_EQ(p.cache_hits, s.cache_hits) << threads;
+    EXPECT_EQ(p.subsumption_hits, s.subsumption_hits) << threads;
+    EXPECT_EQ(p.subsumption_cuts, s.subsumption_cuts) << threads;
+    EXPECT_EQ(p.cache_misses, s.cache_misses) << threads;
+    EXPECT_EQ(p.prefix_hits, s.prefix_hits) << threads;
+    EXPECT_EQ(p.states_reused, s.states_reused) << threads;
+    EXPECT_EQ(p.proof_threads, threads);
+  }
 }
 
 TEST(IncrementalSolve, SharedSnapshotCacheReusesPrefixesAcrossSolves) {

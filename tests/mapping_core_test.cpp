@@ -196,6 +196,56 @@ TEST(Solve, RejectsMalformedSpecsNamingTheApp) {
     specs[0].kt = specs[0].ke;  // 1 x (n+1) where 1 x n is required
     EXPECT_NE(rejection_of(specs).find("C1"), std::string::npos);
   }
+  {  // the verifier keeps counters in one byte: rejected before analysis
+    std::vector<AppSpec> specs = valid;
+    specs[1].min_interarrival = 300;
+    EXPECT_NE(rejection_of(specs).find("min_interarrival of C2"),
+              std::string::npos);
+  }
+}
+
+TEST(Solve, AnalysisFailuresNameTheApp) {
+  std::vector<AppSpec> specs{to_spec(casestudy::c1()),
+                             to_spec(casestudy::c3())};
+  specs[1].settling_requirement = 0;
+  const std::string message = rejection_of(specs);
+  EXPECT_NE(message.find("C3"), std::string::npos) << message;
+  EXPECT_NE(message.find("J* must be positive"), std::string::npos)
+      << message;
+}
+
+/// Runs solve() on the valid C1 spec under `options`, expecting
+/// std::invalid_argument; returns its message.
+std::string option_rejection_of(const core::SolveOptions& options) {
+  try {
+    static_cast<void>(core::solve({to_spec(casestudy::c1())}, options));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "solve accepted malformed options";
+  return {};
+}
+
+TEST(Solve, RejectsDisturbanceBudgetBeyondTheKey) {
+  core::SolveOptions options;
+  options.max_disturbances_per_app = 63;
+  EXPECT_NE(option_rejection_of(options).find("max_disturbances_per_app"),
+            std::string::npos);
+  options.max_disturbances_per_app = 62;  // the largest the key holds
+  EXPECT_NO_THROW(static_cast<void>(
+      core::solve({to_spec(casestudy::c1())}, options)));
+}
+
+TEST(Solve, RejectsNonPositiveOrNonFiniteSettlingTolerance) {
+  for (const double tol : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -0.02}) {
+    core::SolveOptions options;
+    options.settling.abs_tol = tol;
+    EXPECT_NE(option_rejection_of(options).find("settling.abs_tol"),
+              std::string::npos)
+        << tol;
+  }
 }
 
 TEST(Solve, SlackAwarePolicyYieldsSamePartitionOnCaseStudy) {

@@ -374,6 +374,11 @@ TEST(RedimensionTest, DeltaValidationRejectsMalformedDeltas) {
   misshapen_addition.add.push_back(spec_of(casestudy::c4()));
   misshapen_addition.add.back().ke = casestudy::c6().ke;  // 1 x 2, needs 1 x 3
   expect_rejected(misshapen_addition);
+
+  core::Delta byte_overflowing_rerate;  // counters are kept in one byte
+  byte_overflowing_rerate.rerate.push_back(specs[1]);
+  byte_overflowing_rerate.rerate.back().min_interarrival = 300;
+  expect_rejected(byte_overflowing_rerate);
 }
 
 }  // namespace
